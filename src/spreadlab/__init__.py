@@ -61,8 +61,6 @@ from .spectral import (
     KIND_DSL,
     SpreadReport,
     closed_form_spread,
-    distance_matrix,
-    distance_signless_laplacian,
     kab_distance_spectrum,
     kab_q_extremes,
     kab_q_spectrum,

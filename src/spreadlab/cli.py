@@ -148,6 +148,8 @@ def _cmd_bound(args) -> int:
     g, desc = _load_graph(args)
     if args.method == "legacy-2012":
         if args.vertex is not None:
+            if not 1 <= args.vertex <= g.n:
+                raise SpreadlabError(f"--vertex must be between 1 and n={g.n}, got {args.vertex}")
             v = args.vertex - 1
         else:
             delta = g.max_degree()

@@ -116,7 +116,10 @@ def parse_graph6(text: str) -> Graph:
         line = line[len(GRAPH6_HEADER):]
     if not line:
         raise ParseError("empty graph6 string")
-    data = line.encode("ascii", errors="replace")
+    try:
+        data = line.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"non-ASCII character {line[exc.start]!r} at offset {exc.start}") from None
     n, pos = _g6_read_n(data, 0)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6

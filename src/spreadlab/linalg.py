@@ -47,9 +47,6 @@ class SymMatrix:
     def trace(self) -> float:
         return float(np.trace(self.array))
 
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.array))
-
     def __repr__(self):
         return f"SymMatrix(n={self.n})"
 
@@ -163,7 +160,3 @@ def eig2_real(b: Sequence[Sequence[float]]) -> tuple[float, float]:
         disc = 0.0
     root = math.sqrt(disc)
     return (tr + root) / 2.0, (tr - root) / 2.0
-
-
-def identity(n: int) -> SymMatrix:
-    return SymMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])

@@ -56,7 +56,8 @@ class Partition:
     def around(vertices, n: int) -> "Partition":
         """Two-block partition: the given vertex set, then the rest."""
         inside = tuple(sorted(vertices))
-        outside = tuple(v for v in range(n) if v not in set(inside))
+        members = set(inside)
+        outside = tuple(v for v in range(n) if v not in members)
         return Partition((inside, outside))
 
 

@@ -250,6 +250,8 @@ def check_conjecture(
     vertices and compare against S_Q(K_{floor(n/2), ceil(n/2)})."""
     if not (2 <= n <= CONJECTURE_MAX_N):
         raise ValueError(f"conjecture check supports 2 <= n <= {CONJECTURE_MAX_N}, got {n}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk size must be >= 1, got {chunk_size}")
     if threads is None:
         threads = _threads_from_env()
     t0 = time.monotonic()

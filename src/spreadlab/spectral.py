@@ -29,12 +29,6 @@ class SpreadReport:
     spectrum: Spectrum
 
 
-def distance_rows(g: Graph, dd: DistanceData | None = None) -> tuple[tuple[int, ...], ...]:
-    """Integer rows of D(G)."""
-    dd = dd or all_pairs_distances(g)
-    return dd.dist
-
-
 def dsl_rows(g: Graph, dd: DistanceData | None = None) -> tuple[tuple[int, ...], ...]:
     """Integer rows of Q(G) = Tr(G) + D(G)."""
     dd = dd or all_pairs_distances(g)
@@ -44,25 +38,22 @@ def dsl_rows(g: Graph, dd: DistanceData | None = None) -> tuple[tuple[int, ...],
     )
 
 
-def distance_matrix(g: Graph) -> SymMatrix:
-    return SymMatrix(distance_rows(g))
-
-
-def distance_signless_laplacian(g: Graph) -> SymMatrix:
-    return SymMatrix(dsl_rows(g))
-
-
 def matrix_of_kind(g: Graph, kind: str, dd: DistanceData | None = None) -> SymMatrix:
-    if kind == KIND_DISTANCE:
-        return SymMatrix(distance_rows(g, dd))
-    if kind == KIND_DSL:
-        return SymMatrix(dsl_rows(g, dd))
-    raise ValueError(f"unknown matrix kind {kind!r}; expected 'distance' or 'dsl'")
+    """D(G) for kind 'distance', Q(G) for kind 'dsl', with exact integer rows."""
+    if kind not in (KIND_DISTANCE, KIND_DSL):
+        raise ValueError(f"unknown matrix kind {kind!r}; expected 'distance' or 'dsl'")
+    dd = dd or all_pairs_distances(g)
+    return SymMatrix(dd.dist if kind == KIND_DISTANCE else dsl_rows(g, dd))
 
 
 def spread(g: Graph, kind: str, tol: float = DEFAULT_TOL) -> SpreadReport:
     """Largest and least eigenvalue of D(G) or Q(G) and their difference."""
-    spec = eigenvalues_symmetric(matrix_of_kind(g, kind), tol=tol)
+    return matrix_spread(matrix_of_kind(g, kind), kind, tol=tol)
+
+
+def matrix_spread(m: SymMatrix, kind: str, tol: float = DEFAULT_TOL) -> SpreadReport:
+    """spread() of an already built D(G) or Q(G)."""
+    spec = eigenvalues_symmetric(m, tol=tol)
     return SpreadReport(
         kind=kind,
         rho_max=spec.largest,

@@ -7,6 +7,7 @@ witness carries s_i, the sum of transmissions over its vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import AcyclicError, NotCactusError
 from .graph import DistanceData, Graph, all_pairs_distances, check_connected
@@ -77,21 +78,21 @@ def maximum_cliques(g: Graph, dd: DistanceData | None = None) -> WitnessSet:
 # diameter paths
 
 
-def _geodesics(g: Graph, dd: DistanceData, u: int, v: int) -> list[tuple[int, ...]]:
-    """All shortest u-v paths, walked along the predecessor DAG from v."""
-    d = dd.dist[u]
-    target = d[v]
-    paths: list[tuple[int, ...]] = []
-    stack: list[tuple[int, tuple[int, ...]]] = [(v, (v,))]
+def _geodesics(g: Graph, dd: DistanceData, u: int, v: int) -> Iterator[tuple[int, ...]]:
+    """All shortest u-v paths in ascending order, walked forward from u over
+    the neighbours one step closer to v, smallest first."""
+    d = dd.dist[v]
+    stack = [(u,)]
     while stack:
-        x, suffix = stack.pop()
-        if x == u:
-            paths.append(tuple(reversed(suffix)))
+        path = stack.pop()
+        x = path[-1]
+        if x == v:
+            yield path
             continue
-        for y in sorted(g.adjacency[x]):
+        for y in sorted(g.adjacency[x], reverse=True):
             if d[y] == d[x] - 1:
-                stack.append((y, suffix + (y,)))
-    return paths
+                stack.append(path + (y,))
+
 
 def diameter_paths(g: Graph, dd: DistanceData | None = None, cap: int = DIAMETER_PATH_CAP) -> WitnessSet:
     """All paths whose length equals the diameter, each reported once with the
@@ -108,7 +109,7 @@ def diameter_paths(g: Graph, dd: DistanceData | None = None, cap: int = DIAMETER
         for v in range(u + 1, g.n):
             if dd.dist[u][v] != d:
                 continue
-            for path in sorted(_geodesics(g, dd, u, v)):
+            for path in _geodesics(g, dd, u, v):
                 if len(members) >= cap:
                     truncated = True
                     break

@@ -2,12 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+import spreadlab
 from spreadlab import (
+    AcyclicError,
     DegenerateBoundError,
     KIND_DISTANCE,
     KIND_DSL,
     NotBipartiteError,
+    NotCactusError,
+    Partition,
     SpreadlabError,
+    all_pairs_distances,
     bound_bipartite_distance,
     bound_bipartite_dsl,
     bound_cactus,
@@ -21,10 +26,13 @@ from spreadlab import (
     kite,
     legacy_2012_counterexample,
     path,
+    quotient,
     spread,
     star,
 )
+from spreadlab.bounds import _witnesses
 from spreadlab.linalg import eig2_real
+from spreadlab.spectral import dsl_rows, matrix_of_kind
 
 from .conftest import random_cactus, random_connected_graph
 
@@ -276,3 +284,84 @@ def test_legacy_vertex_validation():
         legacy_2012_counterexample(builtin("G1"), 3)  # v4 has degree 1
     with pytest.raises(SpreadlabError):
         legacy_2012_counterexample(star(5), 0)  # delta = n - 1 out of scope
+    for v in (-1, 7, 99):  # G1 has 7 vertices; -1 must not wrap to v7
+        with pytest.raises(SpreadlabError, match="out of range"):
+            legacy_2012_counterexample(builtin("G1"), v)
+
+
+# ---------------------------------------------------------------------------
+# the shared witness engine
+
+
+def witness_set(g, report, w):
+    """The vertex set a witness partitions around."""
+    if report.method.startswith("bipartite"):
+        v = w.vertices[0]
+        return {v, *g.adjacency[v]}
+    return set(w.vertices)
+
+
+def assert_quotients_match_general(g, report, kind):
+    rows = all_pairs_distances(g).dist if kind == KIND_DISTANCE else dsl_rows(g)
+    for w in report.witnesses:
+        assert w.quotient == quotient(rows, Partition.around(witness_set(g, report, w), g.n))
+
+
+def test_engine_quotients_match_general_quotient_bipartite():
+    # every connected bipartite graph on up to 7 vertices, both matrices
+    for n in range(2, 8):
+        for g in enumerate_connected_bipartite(n):
+            assert_quotients_match_general(g, bound_bipartite_distance(g), KIND_DISTANCE)
+            assert_quotients_match_general(g, bound_bipartite_dsl(g), KIND_DSL)
+
+
+def test_engine_quotients_match_general_quotient_structures(rng):
+    checked = {"clique": 0, "diameter": 0, "cactus": 0}
+    graphs = [random_connected_graph(rng, rng.randint(3, 10), extra_edge_prob=rng.choice([0.15, 0.3]))
+              for _ in range(60)]
+    graphs += [random_cactus(rng, rng.randint(4, 12)) for _ in range(60)]
+    for g in graphs:
+        for fn in (bound_clique, bound_diameter, bound_cactus):
+            try:
+                r = fn(g)
+            except (AcyclicError, DegenerateBoundError, NotCactusError):
+                continue
+            assert_quotients_match_general(g, r, KIND_DSL)
+            checked[r.method] += len(r.witnesses)
+    assert all(count > 20 for count in checked.values()), checked
+
+
+def test_each_bound_runs_one_distance_analysis(monkeypatch):
+    calls = []
+    real = spreadlab.graph.all_pairs_distances
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    for module in (spreadlab.graph, spreadlab.spectral, spreadlab.structures, spreadlab.bounds):
+        monkeypatch.setattr(module, "all_pairs_distances", counting)
+    cases = [
+        (bound_bipartite_distance, builtin("G1")),
+        (bound_bipartite_dsl, builtin("G2")),
+        (bound_clique, kite(5, 3)),
+        (bound_diameter, builtin("G1")),
+        (bound_cactus, builtin("G4")),
+    ]
+    for fn, g in cases:
+        calls.clear()
+        assert fn(g).witnesses
+        assert len(calls) == 1, fn.__name__
+
+
+def test_engine_rejects_perturbed_coefficients():
+    g = builtin("G1")
+    m = matrix_of_kind(g, KIND_DSL)
+    w = bound_diameter(g).witnesses[0]
+    item = (w.label, w.vertices, w.vertices, w.s_or_t, w.a, w.b)
+    assert _witnesses(m, 3, (-1, 1), [item]) == [w]
+    for a, b in ((w.a + 1, w.b), (w.a, w.b - 1)):
+        with pytest.raises(SpreadlabError, match="disagree"):
+            _witnesses(m, 3, (-1, 1), [item[:4] + (a, b)])
+    with pytest.raises(SpreadlabError, match="disagree"):
+        _witnesses(m, 3, (1, 1), [item])  # a sign flipped

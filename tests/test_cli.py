@@ -93,6 +93,13 @@ def test_bound_legacy_default_vertex(capsys):
     assert "vertex: v1" in out  # first maximum-degree vertex
 
 
+def test_bound_legacy_vertex_out_of_range(capsys):
+    # G1 has 7 vertices: K = 0 used to wrap to v7, K = 99 to raise IndexError
+    for k in ("0", "8", "99"):
+        code, out, err = run(capsys, "bound", "--builtin", "G1", "--method", "legacy-2012", "--vertex", k)
+        assert code == EXIT_DOMAIN and out == "" and "--vertex" in err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -159,6 +166,11 @@ def test_conjecture_cli_json(capsys):
 def test_conjecture_cli_range_error(capsys):
     code, _, err = run(capsys, "conjecture", "--n", "99")
     assert code == EXIT_DOMAIN
+
+
+def test_conjecture_cli_rejects_chunk_size_zero(capsys):
+    code, _, err = run(capsys, "conjecture", "--n", "4", "--chunk-size", "0")
+    assert code == EXIT_DOMAIN and "chunk size" in err
 
 
 def test_version(capsys):

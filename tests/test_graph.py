@@ -129,6 +129,12 @@ def test_graph6_errors_name_byte_offsets():
         parse_graph6("A_A_")
 
 
+def test_graph6_rejects_non_ascii():
+    # 'é' used to be replaced by '?', a valid all-zero byte: C? is K4's complement
+    with pytest.raises(ParseError, match="non-ASCII .* offset 1"):
+        parse_graph6("Cé")
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10), st.integers(0, 2 ** 45 - 1))
 def test_graph6_roundtrip_property(n, seed):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spreadlab import NumericError, Spectrum, SymMatrix, eigenvalues_symmetric, jacobi_eigenvalues
-from spreadlab.linalg import eig2_real, identity
+from spreadlab.linalg import eig2_real
 
 
 def random_symmetric(rnd: random.Random, n: int, scale: float = 5.0) -> np.ndarray:
@@ -93,10 +93,10 @@ def test_eig2_agrees_with_jacobi_on_symmetric(rng):
 
 
 def test_identity_spectrum():
-    s = eigenvalues_symmetric(identity(4))
+    s = eigenvalues_symmetric(SymMatrix(np.eye(4)))
     assert all(abs(v - 1.0) < 1e-12 for v in s.values)
 
 
 def test_bad_tolerance_rejected():
     with pytest.raises(ValueError):
-        eigenvalues_symmetric(identity(2), tol=0.0)
+        eigenvalues_symmetric(SymMatrix(np.eye(2)), tol=0.0)

@@ -9,6 +9,7 @@ from spreadlab import (
     Partition,
     Spectrum,
     SymMatrix,
+    all_pairs_distances,
     block_spectrum,
     builtin,
     complete_bipartite,
@@ -17,7 +18,7 @@ from spreadlab import (
     quotient,
     spread,
 )
-from spreadlab.spectral import KIND_DSL, distance_rows, dsl_rows
+from spreadlab.spectral import KIND_DSL, dsl_rows
 
 from .conftest import random_connected_graph
 from .test_linalg import random_symmetric
@@ -38,7 +39,7 @@ def test_partition_validation():
 def test_quotient_exact_rationals_on_showcase_graph():
     # the 2x2 distance quotient around the closed neighbourhood of v1
     g = builtin("G1")
-    rows = distance_rows(g)
+    rows = all_pairs_distances(g).dist
     p = Partition.around([0, 1, 2, 3], 7)
     q = quotient(rows, p)
     assert q.entries == (
@@ -53,7 +54,7 @@ def test_quotient_row_sums_preserved(rng):
     # each quotient row sum equals the average row sum of its block
     for _ in range(10):
         g = random_connected_graph(rng, rng.randint(3, 8))
-        rows = distance_rows(g)
+        rows = all_pairs_distances(g).dist
         k = rng.randint(1, g.n - 1)
         p = Partition.around(rng.sample(range(g.n), k), g.n)
         q = quotient(rows, p)
@@ -65,7 +66,7 @@ def test_quotient_row_sums_preserved(rng):
 def test_quotient_equitable_flag():
     # K_{2,2} with the bipartition blocks is an equitable partition of D
     g = complete_bipartite(2, 2)
-    q = quotient(distance_rows(g), Partition.of([0, 1], [2, 3]))
+    q = quotient(all_pairs_distances(g).dist, Partition.of([0, 1], [2, 3]))
     assert q.equitable
     ev = sorted(q.eigenvalues().values)
     # equitable quotient eigenvalues are a subset of the spectrum {4, 0, -2, -2}
@@ -74,7 +75,7 @@ def test_quotient_equitable_flag():
 
 def test_quotient_size_mismatch():
     with pytest.raises(ValueError, match="order"):
-        quotient(distance_rows(builtin("G1")), Partition.around([0], 5))
+        quotient(all_pairs_distances(builtin("G1")).dist, Partition.around([0], 5))
 
 
 def test_quotient_eigenvalues_match_numpy(rng):

@@ -210,3 +210,9 @@ def test_threads_env(monkeypatch):
         _threads_from_env()
     monkeypatch.delenv("SPREADLAB_THREADS")
     assert _threads_from_env() == 1
+
+
+def test_conjecture_rejects_chunk_size_below_one():
+    for size in (0, -5):
+        with pytest.raises(ValueError, match="chunk size"):
+            check_conjecture(4, chunk_size=size)

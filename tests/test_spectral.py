@@ -10,23 +10,21 @@ from spreadlab import (
     closed_form_spread,
     complete,
     complete_bipartite,
-    distance_matrix,
-    distance_signless_laplacian,
     kab_distance_spectrum,
     kab_q_extremes,
     kab_q_spectrum,
     spread,
     star,
 )
-from spreadlab.spectral import distance_rows, dsl_rows, matrix_of_kind
+from spreadlab.spectral import dsl_rows, matrix_of_kind
 
 from .conftest import random_connected_graph
 
 
 def test_matrix_construction():
     g = complete_bipartite(2, 2)
-    d = distance_matrix(g)
-    q = distance_signless_laplacian(g)
+    d = matrix_of_kind(g, KIND_DISTANCE)
+    q = matrix_of_kind(g, KIND_DSL)
     dd = all_pairs_distances(g)
     for i in range(4):
         assert q.array[i, i] == dd.trans[i]
@@ -155,7 +153,7 @@ def test_closed_form_errors():
 def test_spectra_match_numpy_oracle(rng):
     for _ in range(15):
         g = random_connected_graph(rng, rng.randint(2, 9))
-        for kind, rows in ((KIND_DISTANCE, distance_rows(g)), (KIND_DSL, dsl_rows(g))):
+        for kind, rows in ((KIND_DISTANCE, all_pairs_distances(g).dist), (KIND_DSL, dsl_rows(g))):
             ref = sorted(np.linalg.eigvalsh(np.array(rows, float)))
             mine = sorted(spread(g, kind).spectrum.values)
             for x, y in zip(mine, ref):

@@ -21,7 +21,7 @@ from spreadlab import (
     path_internal_sum,
     star,
 )
-from spreadlab.structures import biconnected_components, maximal_cliques
+from spreadlab.structures import _geodesics, biconnected_components, maximal_cliques
 
 from .conftest import random_cactus, random_connected_graph
 
@@ -206,3 +206,45 @@ def test_cycle_internal_sum_bfs():
         assert cycle_internal_sum(l) == dd.trans[0]
     with pytest.raises(ValueError):
         cycle_internal_sum(2)
+
+
+def all_geodesics(g: Graph, dd, u: int, v: int):
+    """Every shortest u-v path, in no particular order."""
+    found = []
+
+    def extend(p):
+        if p[-1] == v:
+            found.append(tuple(p))
+            return
+        for y in g.adjacency[p[-1]]:
+            if dd.dist[u][y] == len(p) and dd.dist[y][v] == dd.dist[u][v] - len(p):
+                extend(p + [y])
+
+    extend([u])
+    return found
+
+
+def test_geodesics_stream_in_sorted_order(rng):
+    for _ in range(20):
+        g = random_connected_graph(rng, rng.randint(2, 10), extra_edge_prob=rng.choice([0.1, 0.3]))
+        dd = all_pairs_distances(g)
+        for u in range(g.n):
+            for v in range(g.n):
+                assert list(_geodesics(g, dd, u, v)) == sorted(all_geodesics(g, dd, u, v))
+
+
+def test_diameter_paths_cap_stops_early_on_grid():
+    # the 11x11 grid has C(20,10) = 184,756 geodesics per pair of opposite
+    # corners; with cap=10 only the ten smallest from corner 0 are built
+    side = 11
+    edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    g = Graph(side * side, edges)
+    ws = diameter_paths(g, cap=10)
+    assert ws.truncated and len(ws.members) == 10
+    assert list(ws.members) == sorted(ws.members) and len(set(ws.members)) == 10
+    assert ws.members[0] == tuple(range(side)) + tuple(side - 1 + side * r for r in range(1, side))
+    dd = all_pairs_distances(g)
+    for p in ws.members:
+        assert p[0] == 0 and p[-1] == side * side - 1 and len(p) == 2 * (side - 1) + 1
+        assert all(y in g.adjacency[x] for x, y in zip(p, p[1:]))
