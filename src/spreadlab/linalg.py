@@ -1,4 +1,4 @@
-"""Dense real-symmetric eigensolver (cyclic Jacobi) and 2x2 closed forms.
+"""Dense real-symmetric eigensolver (cyclic Jacobi).
 
 Matrix orders in this project are small (enumeration at n <= 10, CLI use up
 to a few hundred vertices), so the plain cyclic Jacobi iteration is both
@@ -43,9 +43,6 @@ class SymMatrix:
         exact = all(isinstance(x, (int, np.integer)) or getattr(x, "denominator", None) is not None
                     for row in rows for x in row)
         self.rows_exact = tuple(tuple(row) for row in rows) if exact else None
-
-    def trace(self) -> float:
-        return float(np.trace(self.array))
 
     def __repr__(self):
         return f"SymMatrix(n={self.n})"
@@ -142,21 +139,3 @@ def eigenvalues_symmetric(m: SymMatrix, tol: float = DEFAULT_TOL) -> Spectrum:
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     return Spectrum.from_values(jacobi_eigenvalues(m.array, tol=tol))
-
-
-def eig2_real(b: Sequence[Sequence[float]]) -> tuple[float, float]:
-    """Roots of the characteristic polynomial of a 2x2 matrix, largest first.
-
-    The matrix need not be symmetric, but its eigenvalues must be real
-    (nonnegative discriminant).
-    """
-    (b11, b12), (b21, b22) = b
-    tr = float(b11) + float(b22)
-    det = float(b11) * float(b22) - float(b12) * float(b21)
-    disc = tr * tr - 4.0 * det
-    if disc < 0:
-        if disc < -1e-12 * max(1.0, tr * tr):
-            raise NumericError(f"2x2 matrix has complex eigenvalues (discriminant {disc:.3e})")
-        disc = 0.0
-    root = math.sqrt(disc)
-    return (tr + root) / 2.0, (tr - root) / 2.0

@@ -4,8 +4,13 @@ Connected bipartite graphs are enumerated one isomorphism class each: for a
 part split a + b = n the biadjacency rows are generated as non-decreasing
 bitmask tuples (a cheap exact reduction of labelled duplicates), survivors
 are deduplicated by a canonical form computed with iterated colour
-refinement plus backtracking. Work is chunked by (a, combination range) so
-runs can be parallelised and checkpointed.
+refinement plus backtracking. The backtracking branches on one vertex of
+each group of twins (equal open or equal closed neighbourhoods), since
+swapping twins is an automorphism. Each candidate is labelled once, straight
+from its rows; only a new class is built as a Graph, written as canonical
+graph6 and eigensolved. Work is chunked by (a, combination range) so runs
+can be parallelised, and each finished chunk is appended to an optional
+checkpoint file at once.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Collection, Sequence
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice
 
@@ -31,7 +38,7 @@ DEFAULT_CHUNK = 20000
 # canonical form (iterated refinement + backtracking)
 
 
-def _refine(n: int, adj: tuple[frozenset, ...], colors: list[int]) -> list[int]:
+def _refine(n: int, adj: Sequence[Collection[int]], colors: list[int]) -> list[int]:
     while True:
         sigs = [
             (colors[v], tuple(sorted(colors[u] for u in adj[v])))
@@ -44,7 +51,7 @@ def _refine(n: int, adj: tuple[frozenset, ...], colors: list[int]) -> list[int]:
         colors = new
 
 
-def _leaf_key(n: int, adj: tuple[frozenset, ...], colors: list[int]) -> int:
+def _leaf_key(n: int, adj: Sequence[Collection[int]], colors: list[int]) -> int:
     # colors are a bijection vertex -> position; encode the relabelled
     # adjacency as an integer bitmask over the upper triangle
     pos = colors
@@ -58,7 +65,27 @@ def _leaf_key(n: int, adj: tuple[frozenset, ...], colors: list[int]) -> int:
     return key
 
 
-def _canonical_search(n: int, adj: tuple[frozenset, ...], colors: list[int], best: list):
+def _twins(n: int, adj: Sequence[Collection[int]]) -> list[int]:
+    """For each vertex, the smallest vertex with the same open or the same
+    closed neighbourhood (itself if there is none)."""
+    first_open: dict[int, int] = {}
+    first_closed: dict[int, int] = {}
+    twins = []
+    for v in range(n):
+        mask = 0
+        for u in adj[v]:
+            mask |= 1 << u
+        rep = first_open.setdefault(mask, v)
+        if rep == v:
+            # a vertex with an open twin has no closed twin, and vice versa
+            rep = first_closed.setdefault(mask | 1 << v, v)
+        twins.append(rep)
+    return twins
+
+
+def _canonical_search(
+    n: int, adj: Sequence[Collection[int]], twins: list[int], colors: list[int], best: list
+):
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
@@ -73,36 +100,50 @@ def _canonical_search(n: int, adj: tuple[frozenset, ...], colors: list[int], bes
             best[0] = key
             best[1] = list(colors)
         return
+    # Swapping two twins is an automorphism that fixes every vertex
+    # individualised so far, so it maps this colouring to itself and the
+    # twins' subtrees hold the same leaf keys. Only the first twin of each
+    # group is branched on; it comes first in DFS order, so the first
+    # minimal leaf, and with it the returned permutation, is unchanged.
+    branched = set()
     for v in target:
-        branched = [c + (1 if c > colors[v] or (c == colors[v] and u != v) else 0)
-                    for u, c in enumerate(colors)]
-        branched[v] = colors[v]
-        _canonical_search(n, adj, _refine(n, adj, branched), best)
+        if twins[v] in branched:
+            continue
+        branched.add(twins[v])
+        individualised = [c + (1 if c > colors[v] or (c == colors[v] and u != v) else 0)
+                          for u, c in enumerate(colors)]
+        individualised[v] = colors[v]
+        _canonical_search(n, adj, twins, _refine(n, adj, individualised), best)
+
+
+def _canonical(n: int, adj: Sequence[Collection[int]]) -> tuple[int, list[int]]:
+    """(adjacency bitmask, permutation) of the canonical relabelling: the
+    first minimal leaf of the search tree."""
+    if n == 0:
+        return 0, []
+    best: list = [None, None]
+    colors = _refine(n, adj, [len(nbrs) for nbrs in adj])
+    _canonical_search(n, adj, _twins(n, adj), colors, best)
+    return best[0], best[1]
+
+
+def _relabel(g: Graph, perm: list[int]) -> Graph:
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def canonical_labelling(g: Graph) -> list[int]:
     """Permutation mapping each vertex to its canonical position."""
-    if g.n == 0:
-        return []
-    colors = _refine(g.n, g.adjacency, [g.degree(v) for v in range(g.n)])
-    # normalise colour ids to 0..k-1 in order
-    best: list = [None, None]
-    _canonical_search(g.n, g.adjacency, _refine(g.n, g.adjacency, colors), best)
-    return best[1]
+    return _canonical(g.n, g.adjacency)[1]
 
 
 def canonical_graph(g: Graph) -> Graph:
-    perm = canonical_labelling(g)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    return _relabel(g, canonical_labelling(g))
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:
     """(n, adjacency bitmask) of the canonical relabelling; equal exactly for
     isomorphic graphs."""
-    if g.n == 0:
-        return (0, 0)
-    perm = canonical_labelling(g)
-    return (g.n, _leaf_key(g.n, g.adjacency, perm))
+    return (g.n, _canonical(g.n, g.adjacency)[0])
 
 
 def canonical_graph6(g: Graph) -> str:
@@ -156,22 +197,30 @@ def _graph_from_rows(a: int, b: int, rows: tuple[int, ...]) -> Graph:
     return Graph(a + b, edges)
 
 
+def _candidates(n: int, a: int, row_tuples):
+    """(rows, canonical key, canonical permutation) of each connected
+    candidate among row_tuples, with left part size a. The adjacency is read
+    straight off the rows: left vertex i is i, right vertex j is a + j."""
+    b = n - a
+    for rows in row_tuples:
+        if not _rows_connected(a, b, rows):
+            continue
+        left = [tuple(a + j for j in range(b) if (r >> j) & 1) for r in rows]
+        right = [tuple(i for i in range(a) if (rows[i] >> j) & 1) for j in range(b)]
+        yield (rows, *_canonical(n, left + right))
+
+
 def enumerate_connected_bipartite(n: int):
     """Yield one representative per isomorphism class of connected bipartite
     graphs on n vertices, in a deterministic order."""
     if not (2 <= n <= CONJECTURE_MAX_N):
         raise ValueError(f"enumeration supports 2 <= n <= {CONJECTURE_MAX_N}, got {n}")
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()
     for a in range(1, n // 2 + 1):
-        b = n - a
-        for rows in _row_tuples(a, b):
-            if not _rows_connected(a, b, rows):
-                continue
-            g = _graph_from_rows(a, b, rows)
-            key = canonical_key(g)
+        for rows, key, _ in _candidates(n, a, _row_tuples(a, n - a)):
             if key not in seen:
                 seen.add(key)
-                yield g
+                yield _graph_from_rows(a, n - a, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +277,66 @@ def _run_chunk(args) -> tuple[int, int, int, dict, int]:
     n, a, start, end = args
     b = n - a
     classes: dict[str, float] = {}
+    seen: set[int] = set()
     candidates = 0
-    for rows in islice(_row_tuples(a, b), start, end):
-        if not _rows_connected(a, b, rows):
-            continue
+    for rows, key, perm in _candidates(n, a, islice(_row_tuples(a, b), start, end)):
         candidates += 1
-        g = _graph_from_rows(a, b, rows)
-        key = canonical_graph6(g)
-        if key not in classes:
-            classes[key] = spread(g, KIND_DSL).spread
+        if key not in seen:
+            seen.add(key)
+            g = _graph_from_rows(a, b, rows)
+            classes[write_graph6(_relabel(g, perm))] = spread(g, KIND_DSL).spread
     return a, start, end, classes, candidates
+
+
+def _read_checkpoint(path: str, n: int, wanted: set) -> dict:
+    """{(a, start, end): (classes, candidates)} of the records in a checkpoint
+    file that belong to this run's chunk list; records of another n or of
+    another chunking are left alone, so those chunks are redone.
+
+    An unparsable final line is what a run killed mid-write leaves: it is
+    cut off and its chunk redone. An unparsable line before it is an error.
+    A final record without its newline gets one, so appends start a line.
+    """
+    done: dict[tuple[int, int, int], tuple[dict, int]] = {}
+    if not os.path.exists(path):
+        return done
+    with open(path, "rb+") as fh:
+        lines = fh.readlines()
+        offset = 0
+        for number, line in enumerate(lines, 1):
+            if line.strip():
+                try:
+                    rec = json.loads(line)
+                    key = (rec["a"], rec["start"], rec["end"])
+                    ours = rec["n"] == n and key in wanted
+                    record = (rec["classes"], rec["candidates"])
+                except (ValueError, KeyError, TypeError):
+                    if number < len(lines):
+                        raise SpreadlabError(
+                            f"checkpoint {path}: line {number} is not a chunk record"
+                        ) from None
+                    fh.truncate(offset)
+                    return done
+                if ours:
+                    done[key] = record
+            offset += len(line)
+        if lines and not lines[-1].endswith(b"\n"):
+            fh.write(b"\n")
+    return done
+
+
+def _completed(chunks: list, threads: int):
+    """Yield each chunk's _run_chunk result as soon as it is ready."""
+    if threads > 1 and len(chunks) > 1:
+        pool = ProcessPoolExecutor(max_workers=min(threads, len(chunks)))
+        try:
+            for future in as_completed([pool.submit(_run_chunk, c) for c in chunks]):
+                yield future.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        for chunk in chunks:
+            yield _run_chunk(chunk)
 
 
 def check_conjecture(
@@ -247,7 +346,11 @@ def check_conjecture(
     checkpoint: str | None = None,
 ) -> ConjectureReport:
     """Evaluate S_Q over every connected bipartite isomorphism class on n
-    vertices and compare against S_Q(K_{floor(n/2), ceil(n/2)})."""
+    vertices and compare against S_Q(K_{floor(n/2), ceil(n/2)}).
+
+    With a checkpoint file, each chunk's record is appended and synced as
+    soon as the chunk completes, and the chunks it already holds are not
+    run again."""
     if not (2 <= n <= CONJECTURE_MAX_N):
         raise ValueError(f"conjecture check supports 2 <= n <= {CONJECTURE_MAX_N}, got {n}")
     if chunk_size < 1:
@@ -261,37 +364,18 @@ def check_conjecture(
         for a in range(1, n // 2 + 1)
         for start, end in _chunk_ranges(_count_row_tuples(a, n - a), chunk_size)
     ]
-    done: dict[tuple[int, int, int], tuple[dict, int]] = {}
-    if checkpoint and os.path.exists(checkpoint):
-        with open(checkpoint) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                if rec.get("n") == n:
-                    done[(rec["a"], rec["start"], rec["end"])] = (rec["classes"], rec["candidates"])
-
-    pending = [c for c in chunks if (c[1], c[2], c[3]) not in done]
-    results = []
-    if threads > 1 and pending:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_chunk, pending))
-    else:
-        results = [_run_chunk(c) for c in pending]
-
-    ckpt_fh = open(checkpoint, "a") if checkpoint else None
-    try:
-        for a, start, end, classes, candidates in results:
+    done = _read_checkpoint(checkpoint, n, {c[1:] for c in chunks}) if checkpoint else {}
+    pending = [c for c in chunks if c[1:] not in done]
+    with open(checkpoint, "a") if checkpoint else nullcontext() as ckpt_fh:
+        for a, start, end, classes, candidates in _completed(pending, threads):
             done[(a, start, end)] = (classes, candidates)
             if ckpt_fh:
                 ckpt_fh.write(json.dumps({
                     "n": n, "a": a, "start": start, "end": end,
                     "classes": classes, "candidates": candidates,
                 }) + "\n")
-    finally:
-        if ckpt_fh:
-            ckpt_fh.close()
+                ckpt_fh.flush()
+                os.fsync(ckpt_fh.fileno())
 
     merged: dict[str, float] = {}
     candidates_total = 0

@@ -1,8 +1,10 @@
+import math
 import random
+from typing import Sequence
 
 import pytest
 
-from spreadlab import Graph, is_connected
+from spreadlab import Graph, NumericError, is_connected
 
 
 def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float = 0.3) -> Graph:
@@ -59,6 +61,24 @@ def random_cactus(rng: random.Random, n: int) -> Graph:
             edges.append((attach, built))
             built += 1
     return Graph(n, edges)
+
+
+def eig2_real(b: Sequence[Sequence[float]]) -> tuple[float, float]:
+    """Roots of the characteristic polynomial of a 2x2 matrix, largest first.
+
+    The matrix need not be symmetric, but its eigenvalues must be real
+    (nonnegative discriminant).
+    """
+    (b11, b12), (b21, b22) = b
+    tr = float(b11) + float(b22)
+    det = float(b11) * float(b22) - float(b12) * float(b21)
+    disc = tr * tr - 4.0 * det
+    if disc < 0:
+        if disc < -1e-12 * max(1.0, tr * tr):
+            raise NumericError(f"2x2 matrix has complex eigenvalues (discriminant {disc:.3e})")
+        disc = 0.0
+    root = math.sqrt(disc)
+    return (tr + root) / 2.0, (tr - root) / 2.0
 
 
 @pytest.fixture

@@ -36,11 +36,11 @@ from spreadlab import (
     spread,
     star,
 )
-from spreadlab.linalg import SymMatrix, eig2_real, eigenvalues_symmetric
+from spreadlab.linalg import SymMatrix, eigenvalues_symmetric
 from spreadlab.quotient import Partition, interlaces, quotient
 from spreadlab.spectral import KIND_DISTANCE, KIND_DSL
 
-from .conftest import random_cactus, random_connected_graph
+from .conftest import eig2_real, random_cactus, random_connected_graph
 from .test_linalg import random_symmetric
 
 TOL_4DP = 5e-4

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from spreadlab import NumericError, Spectrum, SymMatrix, eigenvalues_symmetric, jacobi_eigenvalues
-from spreadlab.linalg import eig2_real
+
+from .conftest import eig2_real
 
 
 def random_symmetric(rnd: random.Random, n: int, scale: float = 5.0) -> np.ndarray:

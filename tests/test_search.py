@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -9,6 +10,7 @@ from spreadlab import (
     Graph,
     check_conjecture,
     check_monotonicity,
+    complete,
     complete_bipartite,
     cycle,
     enumerate_connected_bipartite,
@@ -16,6 +18,8 @@ from spreadlab import (
     path,
     star,
 )
+from spreadlab import search
+from spreadlab.cli import main
 from spreadlab.errors import SpreadlabError
 from spreadlab.search import canonical_graph, canonical_graph6, canonical_key, canonical_labelling
 
@@ -111,6 +115,149 @@ def test_canonical_graph6_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# twin pruning
+
+
+def unpruned_labelling(g: Graph) -> list[int]:
+    """Reference search without twin pruning: the permutation of the first
+    minimal leaf of the full backtracking tree."""
+    n, adj = g.n, g.adjacency
+    best: list = [None, None]
+
+    def visit(colors):
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
+        if target is None:
+            key = search._leaf_key(n, adj, colors)
+            if best[0] is None or key < best[0]:
+                best[:] = [key, list(colors)]
+            return
+        for v in target:
+            branched = [c + (1 if c > colors[v] or (c == colors[v] and u != v) else 0)
+                        for u, c in enumerate(colors)]
+            branched[v] = colors[v]
+            visit(search._refine(n, adj, branched))
+
+    visit(search._refine(n, adj, [g.degree(v) for v in range(n)]))
+    return best[1]
+
+
+def complete_multipartite(*parts: int) -> Graph:
+    label = [i for i, size in enumerate(parts) for _ in range(size)]
+    n = len(label)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if label[u] != label[v]])
+
+
+def cocktail_party(k: int) -> Graph:
+    """K_2k minus the perfect matching {u, u + k}."""
+    return Graph(2 * k, [(u, v) for u in range(2 * k) for v in range(u + 1, 2 * k) if v != u + k])
+
+
+def crown(k: int) -> Graph:
+    """K_{k,k} minus the perfect matching {i, k + i}."""
+    return Graph(2 * k, [(i, k + j) for i in range(k) for j in range(k) if i != j])
+
+
+def spider(*legs: int) -> Graph:
+    """Star with centre 0 and a pendant path of each given length."""
+    edges, n = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return Graph(n, edges)
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in g.edges])
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    return Graph(g.n + h.n, list(g.edges) + [(g.n + u, g.n + v) for u, v in h.edges])
+
+
+def relabelled(g: Graph, rng) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+CUBE = crown(4)
+WAGNER = Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+
+TWIN_RICH = (
+    [complete_bipartite(a, b) for a, b in ((1, 1), (1, 5), (2, 2), (2, 5), (3, 3), (3, 4), (4, 4))]
+    + [complete(n) for n in (1, 2, 5, 6)]
+    + [complete_multipartite(*parts) for parts in ((1, 2, 3), (2, 2, 2), (1, 1, 3, 3), (2, 3, 3))]
+    + [cocktail_party(k) for k in (2, 3, 4)]
+    + [crown(k) for k in (3, 4, 5)]
+    + [spider(*legs) for legs in ((1, 1, 1, 2, 2), (2, 2, 2), (1, 1, 3, 3), (1, 1, 1, 1, 1, 2))]
+    + [disjoint_union(complete(4), complete(4)), complement(CUBE)]
+)
+
+# Non-isomorphic graphs of equal order and size. On the regular ones colour
+# refinement leaves one cell that is not an orbit, so the search itself must
+# tell them apart, and pruning any branch but a twin's would change the key.
+NON_ISOMORPHIC_GROUPS = [
+    [complete_bipartite(3, 3), Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                                         (0, 3), (1, 4), (2, 5)])],
+    [CUBE, WAGNER, disjoint_union(complete(4), complete(4))],
+    [complete_bipartite(4, 4), complement(CUBE), complement(WAGNER)],
+    [cycle(8), disjoint_union(cycle(4), cycle(4)), disjoint_union(cycle(5), cycle(3))],
+    [complete_multipartite(2, 2, 2), complete_multipartite(1, 1, 1, 3)],
+    [spider(1, 1, 2, 2), spider(1, 1, 1, 3), spider(2, 2, 2), spider(1, 2, 3)],
+]
+# the Frucht graph: 3-regular, with no automorphism but the identity
+FRUCHT = Graph(12, [(i, (i + 1) % 12) for i in range(12)]
+               + [(i, (i + d) % 12) for i, d in enumerate((-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2))])
+SEARCH_CASES = TWIN_RICH + [g for group in NON_ISOMORPHIC_GROUPS for g in group] + [FRUCHT]
+
+
+def test_twin_rich_keys_invariant_under_relabelling(rng):
+    for g in SEARCH_CASES:
+        key, canon = canonical_key(g), canonical_graph(g)
+        for _ in range(5):
+            h = relabelled(g, rng)
+            assert canonical_key(h) == key
+            assert canonical_graph(h) == canon
+
+
+def test_twin_pruning_keeps_the_first_minimal_leaf(rng):
+    graphs = SEARCH_CASES + [relabelled(g, rng) for g in SEARCH_CASES]
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        p = rng.choice([0.2, 0.5, 0.8])
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    for g in graphs:
+        assert canonical_labelling(g) == unpruned_labelling(g), g.sorted_edges()
+
+
+def test_twin_rich_non_isomorphic_graphs_get_different_keys():
+    for group in NON_ISOMORPHIC_GROUPS:
+        keys = [canonical_key(g) for g in group]
+        assert len(set(keys)) == len(keys)
+    # the same graph built two ways: C10(1, 3) is K_{5,5} minus a matching
+    c10_13 = Graph(10, [(i, (i + s) % 10) for i in range(10) for s in (1, 3)])
+    assert isomorphic(c10_13, crown(5))
+
+
+def test_twin_pruning_visits_one_leaf_on_complete_bipartite(monkeypatch):
+    leaves = []
+    leaf_key = search._leaf_key
+
+    def counted(*args):
+        leaves.append(args)
+        return leaf_key(*args)
+
+    monkeypatch.setattr(search, "_leaf_key", counted)
+    canonical_key(complete_bipartite(4, 5))
+    assert len(leaves) == 1  # 4! * 5! = 2880 without pruning
+
+
+# ---------------------------------------------------------------------------
 # enumeration
 
 
@@ -189,9 +336,82 @@ def test_conjecture_checkpoint_resume(tmp_path):
     assert resumed.verdict == full.verdict
 
 
-def test_conjecture_parallel_matches_serial():
+def report_fields(report) -> dict:
+    fields = dataclasses.asdict(report)
+    del fields["elapsed_seconds"]
+    return fields
+
+
+def test_conjecture_checkpoints_each_chunk_as_it_completes(tmp_path, monkeypatch):
+    fresh = check_conjecture(6, chunk_size=3)
+    ckpt = tmp_path / "chk.jsonl"
+    run_chunk, calls = search._run_chunk, []
+
+    def killed_after_four(args):
+        if len(calls) == 4:
+            raise RuntimeError("killed")
+        calls.append(args)
+        return run_chunk(args)
+
+    monkeypatch.setattr(search, "_run_chunk", killed_after_four)
+    with pytest.raises(RuntimeError, match="killed"):
+        check_conjecture(6, chunk_size=3, checkpoint=str(ckpt))
+    records = [json.loads(line) for line in ckpt.read_text().splitlines()]
+    assert [(r["a"], r["start"], r["end"]) for r in records] == [c[1:] for c in calls]
+    monkeypatch.setattr(search, "_run_chunk", run_chunk)
+    resumed = check_conjecture(6, chunk_size=3, checkpoint=str(ckpt))
+    assert report_fields(resumed) == report_fields(fresh)
+    assert len(ckpt.read_text().splitlines()) == fresh.chunks
+
+
+def test_conjecture_resume_with_other_chunk_size_does_not_double_count(tmp_path):
+    ckpt = tmp_path / "chk.jsonl"
+    first = check_conjecture(7, chunk_size=50, checkpoint=str(ckpt))
+    second = check_conjecture(7, chunk_size=70, checkpoint=str(ckpt))
+    assert first.candidates == second.candidates == 439
+    assert report_fields(second) == report_fields(first) | {"chunks": second.chunks}
+    # a third run with either chunking finds all of its chunks on file
+    lines = ckpt.read_text()
+    check_conjecture(7, chunk_size=50, checkpoint=str(ckpt))
+    assert ckpt.read_text() == lines
+
+
+def test_conjecture_resume_after_torn_last_line(tmp_path):
+    ckpt = tmp_path / "chk.jsonl"
+    fresh = check_conjecture(6, chunk_size=3, checkpoint=str(ckpt))
+    text = ckpt.read_text()
+    # a kill mid-write leaves part of the last record and no newline
+    ckpt.write_text(text[: len(text) - 40])
+    resumed = check_conjecture(6, chunk_size=3, checkpoint=str(ckpt))
+    assert report_fields(resumed) == report_fields(fresh)
+    lines = ckpt.read_text().splitlines()
+    assert len(lines) == fresh.chunks
+    assert sorted(lines) == sorted(text.splitlines())
+    # a complete last record without its newline is kept, and the next
+    # record starts on a line of its own
+    ckpt.write_text("\n".join(lines[:-1]))
+    resumed = check_conjecture(6, chunk_size=3, checkpoint=str(ckpt))
+    assert report_fields(resumed) == report_fields(fresh)
+    assert sorted(ckpt.read_text().splitlines()) == sorted(lines)
+
+
+def test_conjecture_rejects_unparsable_checkpoint_line(tmp_path, capsys):
+    ckpt = tmp_path / "chk.jsonl"
+    check_conjecture(5, chunk_size=3, checkpoint=str(ckpt))
+    lines = ckpt.read_text().splitlines()
+    lines[1] = lines[1][:20]
+    ckpt.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SpreadlabError, match="line 2"):
+        check_conjecture(5, chunk_size=3, checkpoint=str(ckpt))
+    assert main(["conjecture", "--n", "5", "--chunk-size", "3", "--checkpoint", str(ckpt)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_conjecture_parallel_matches_serial(tmp_path):
     serial = check_conjecture(6, threads=1)
-    parallel = check_conjecture(6, threads=2, chunk_size=5)
+    ckpt = tmp_path / "chk.jsonl"
+    parallel = check_conjecture(6, threads=2, chunk_size=5, checkpoint=str(ckpt))
+    assert len(ckpt.read_text().splitlines()) == parallel.chunks
     assert serial.graphs_checked == parallel.graphs_checked
     assert serial.minimizer_graph6 == parallel.minimizer_graph6
     assert serial.verdict == parallel.verdict
