@@ -45,8 +45,8 @@ from .graph import (
     star,
     write_graph6,
 )
-from .linalg import Spectrum, SymMatrix, eigenvalues_symmetric, jacobi_eigenvalues
-from .quotient import InterlacingResult, Partition, QuotientMatrix, block_spectrum, interlaces, quotient
+from .linalg import Spectrum, SymMatrix, eigenvalues_symmetric
+from .quotient import InterlacingResult, Partition, QuotientMatrix, interlaces, quotient
 from .search import (
     ConjectureReport,
     canonical_graph,

@@ -15,6 +15,10 @@ from typing import Iterable, Sequence
 from .errors import NotBipartiteError, NotConnectedError, ParseError, SpreadlabError
 
 GRAPH6_HEADER = ">>graph6<<"
+# Largest vertex count an edge list or a family descriptor may ask for. It is
+# checked before any per-vertex allocation; a dense D(G) of this order already
+# takes 32 MB.
+MAX_VERTICES = 2000
 
 
 class Graph:
@@ -42,7 +46,7 @@ class Graph:
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        self.adjacency = tuple(frozenset(a) for a in adj)
+        self.adjacency = tuple([frozenset(a) for a in adj])
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -214,11 +218,17 @@ def parse_edge_list(text: str) -> Graph:
     for u, v in pairs:
         if max(u, v) >= n:
             raise ParseError(f"edge ({u}, {v}) has a label >= declared n={n}")
+    _check_order(n)
     return Graph(n, pairs)
 
 
 # ---------------------------------------------------------------------------
 # generators
+
+
+def _check_order(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ParseError(f"{n} vertices exceeds the limit of {MAX_VERTICES}")
 
 
 def _require(cond: bool, message: str) -> None:
@@ -289,6 +299,8 @@ def generate(descriptor: str) -> Graph:
         raise ParseError(f"non-integer parameter in family descriptor {descriptor!r}") from None
     if len(args) != arity:
         raise ParseError(f"family {name!r} takes {arity} parameter(s), got {len(args)}")
+    # the first parameter is the vertex count, except for K_{a,b}
+    _check_order(sum(args) if fn is complete_bipartite else args[0])
     return fn(*args)
 
 
@@ -373,7 +385,11 @@ def all_pairs_distances(g: Graph) -> DistanceData:
             if dv < 0:
                 raise NotConnectedError(s, v)
         rows.append(tuple(d))
-    trans = tuple(sum(r) for r in rows)
+    # tuple(<genexpr>) allocates a guessed size and resizes, so the tuple
+    # never comes from CPython's free list for its final size but is freed
+    # onto it; over many calls those lists fill up and hold memory. A list is
+    # copied into a tuple of exactly its size.
+    trans = tuple([sum(r) for r in rows])
     return DistanceData(
         dist=tuple(rows),
         trans=trans,

@@ -1,13 +1,14 @@
-"""Dense real-symmetric eigensolver (cyclic Jacobi).
+"""Dense real-symmetric matrices, spectra and the one eigensolver.
 
-Matrix orders in this project are small (enumeration at n <= 10, CLI use up
-to a few hundred vertices), so the plain cyclic Jacobi iteration is both
-adequate and provably convergent.
+Every spread is the difference of the extreme eigenvalues of an integer
+symmetric matrix, D(G) or Q(G). All of them, and the spectra of symmetrised
+quotient matrices, come from LAPACK's symmetric solver (?syevd, through
+numpy.linalg.eigvalsh). The test suite checks it against an independent
+cyclic Jacobi iteration.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -15,9 +16,7 @@ import numpy as np
 
 from .errors import NumericError
 
-DEFAULT_TOL = 1e-12
 GROUP_TOL = 1e-8
-MAX_SWEEPS = 100
 
 
 class SymMatrix:
@@ -31,18 +30,23 @@ class SymMatrix:
     __slots__ = ("n", "array", "rows_exact")
 
     def __init__(self, rows: Sequence[Sequence], _check_tol: float = 1e-9):
-        arr = np.array(rows, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        raw = np.array(rows)
+        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {raw.shape}")
+        arr = raw.astype(float)
         scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
         if float(np.abs(arr - arr.T).max(initial=0.0)) > _check_tol * scale:
             raise ValueError("matrix is not symmetric")
         self.n = arr.shape[0]
         self.array = (arr + arr.T) / 2.0
         self.array.setflags(write=False)
-        exact = all(isinstance(x, (int, np.integer)) or getattr(x, "denominator", None) is not None
-                    for row in rows for x in row)
-        self.rows_exact = tuple(tuple(row) for row in rows) if exact else None
+        # numpy picks an integer or bool dtype only for exact entries; object
+        # dtype (Fractions, ints beyond int64, mixtures) needs a look at each
+        exact = raw.dtype.kind in "iub" or raw.dtype.kind == "O" and all(
+            isinstance(x, (int, np.integer)) or getattr(x, "denominator", None) is not None
+            for x in raw.flat
+        )
+        self.rows_exact = tuple([tuple(row) for row in rows]) if exact else None
 
     def __repr__(self):
         return f"SymMatrix(n={self.n})"
@@ -84,58 +88,16 @@ class Spectrum:
         return Spectrum(tuple(sorted((float(v) for v in values), reverse=True)))
 
 
-def _off_norm(a: np.ndarray) -> float:
-    # summing the squared off-diagonal entries directly avoids the
-    # cancellation that |A|_F^2 - |diag|^2 suffers near convergence
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
+def eigenvalues_symmetric(m: SymMatrix) -> Spectrum:
+    """All eigenvalues of a SymMatrix, sorted descending.
 
-
-def jacobi_eigenvalues(a: np.ndarray, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
-    """Eigenvalues of a symmetric array by cyclic Jacobi rotations.
-
-    Iterates full sweeps until the off-diagonal Frobenius norm drops below
-    tol * ||A||_F.
+    Raises NumericError on a non-finite entry, on which LAPACK returns NaNs
+    without complaint, and when LAPACK does not converge.
     """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if n <= 1:
-        return np.diag(a).copy() if n else np.array([])
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        return np.zeros(n)
-    threshold = tol * fro
-    for _ in range(max_sweeps):
-        off = _off_norm(a)
-        if off < threshold:
-            return np.diag(a).copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= threshold / (n * n):
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-    off = _off_norm(a)
-    if off < threshold:
-        return np.diag(a).copy()
-    raise NumericError(f"Jacobi iteration did not converge in {max_sweeps} sweeps (off-diagonal {off:.3e})")
-
-
-def eigenvalues_symmetric(m: SymMatrix, tol: float = DEFAULT_TOL) -> Spectrum:
-    """All eigenvalues of a SymMatrix, sorted descending."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    return Spectrum.from_values(jacobi_eigenvalues(m.array, tol=tol))
+    if not np.isfinite(m.array).all():
+        raise NumericError(f"matrix of order {m.n} has a non-finite entry")
+    try:
+        values = np.linalg.eigvalsh(m.array)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"symmetric eigensolver failed: {exc}") from None
+    return Spectrum.from_values(values)

@@ -1,4 +1,4 @@
-"""Vertex partitions, quotient matrices, interlacing and block spectra.
+"""Vertex partitions, quotient matrices and the interlacing check.
 
 Quotient entries are exact rationals whenever the source matrix has exact
 entries; eigenvalues of a (generally non-symmetric) quotient of a symmetric
@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import DEFAULT_TOL, Spectrum, SymMatrix, jacobi_eigenvalues
-
-import numpy as np
+from .linalg import Spectrum, SymMatrix, eigenvalues_symmetric
 
 
 @dataclass(frozen=True)
@@ -80,19 +78,16 @@ class QuotientMatrix:
     def as_floats(self) -> list[list[float]]:
         return [[float(x) for x in row] for row in self.entries]
 
-    def eigenvalues(self, tol: float = DEFAULT_TOL) -> Spectrum:
+    def eigenvalues(self) -> Spectrum:
         """Eigenvalues via the symmetric similarity diag(sqrt(n_i)) scaling.
 
         Real whenever the source matrix was symmetric.
         """
         roots = [math.sqrt(s) for s in self.block_sizes]
-        sym = [
+        return eigenvalues_symmetric(SymMatrix([
             [float(self.entries[i][j]) * roots[i] / roots[j] for j in range(self.t)]
             for i in range(self.t)
-        ]
-        sym_arr = np.array(sym)
-        sym_arr = (sym_arr + sym_arr.T) / 2.0
-        return Spectrum.from_values(jacobi_eigenvalues(sym_arr, tol=tol))
+        ]))
 
 
 def _exact_rows(m) -> Sequence[Sequence]:
@@ -123,6 +118,8 @@ def quotient(m, p: Partition) -> QuotientMatrix:
 
 @dataclass(frozen=True)
 class InterlacingResult:
+    """Outcome of interlaces(); falsy on a violation, which it locates."""
+
     ok: bool
     index: int | None = None
     slack: float | None = None
@@ -134,8 +131,12 @@ class InterlacingResult:
 def interlaces(outer: Spectrum, inner: Spectrum, tol: float = 1e-8) -> InterlacingResult:
     """Check lambda_i + tol >= mu_i >= lambda_{n-m+i} - tol for all i.
 
-    Both spectra must be sorted descending with len(inner) < len(outer). On
-    failure reports the first violating index (1-based) and the slack.
+    This is the interlacing the paper's quotient bounds rest on: the
+    eigenvalues mu of a quotient matrix (or of a principal submatrix)
+    interlace the eigenvalues lambda of the matrix itself, so the extreme
+    quotient eigenvalues bound the spread from below. Both spectra must be
+    sorted descending with len(inner) < len(outer). On failure reports the
+    first violating index (1-based) and the slack.
     """
     n, m = outer.n, inner.n
     if m >= n:
@@ -149,33 +150,3 @@ def interlaces(outer: Spectrum, inner: Spectrum, tol: float = 1e-8) -> Interlaci
         if mu < lam_lo - tol:
             return InterlacingResult(False, index=i + 1, slack=lam_lo - mu)
     return InterlacingResult(True)
-
-
-def block_spectrum(blocks: Sequence[tuple[float, float, int]], off: Sequence[Sequence[float]]) -> Spectrum:
-    """Spectrum of a block matrix with M_ii = l_i J + p_i I, M_ij = s_ij J.
-
-    Equals the quotient spectrum joined with each p_i repeated n_i - 1 times.
-    off must be symmetric; its diagonal is ignored.
-    """
-    t = len(blocks)
-    if len(off) != t or any(len(row) != t for row in off):
-        raise ValueError("off-block coefficient table has wrong shape")
-    for i in range(t):
-        for j in range(i + 1, t):
-            if off[i][j] != off[j][i]:
-                raise ValueError(f"off-block coefficients are not symmetric at ({i}, {j})")
-    sizes = [ni for (_, _, ni) in blocks]
-    if any(ni < 1 for ni in sizes):
-        raise ValueError("block sizes must be >= 1")
-    entries = tuple(
-        tuple(
-            Fraction(blocks[i][0]) * sizes[i] + Fraction(blocks[i][1]) if i == j else Fraction(off[i][j]) * sizes[j]
-            for j in range(t)
-        )
-        for i in range(t)
-    )
-    q = QuotientMatrix(entries=entries, block_sizes=tuple(sizes), equitable=True)
-    values = list(q.eigenvalues().values)
-    for (_, p_i, n_i) in blocks:
-        values.extend([float(p_i)] * (n_i - 1))
-    return Spectrum.from_values(values)

@@ -19,7 +19,6 @@ import json
 import os
 import time
 from collections.abc import Collection, Sequence
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice
@@ -326,9 +325,14 @@ def _read_checkpoint(path: str, n: int, wanted: set) -> dict:
 
 
 def _completed(chunks: list, threads: int):
-    """Yield each chunk's _run_chunk result as soon as it is ready."""
-    if threads > 1 and len(chunks) > 1:
-        pool = ProcessPoolExecutor(max_workers=min(threads, len(chunks)))
+    """Yield each chunk's _run_chunk result as soon as it is ready, from a
+    pool of at most one worker per core."""
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        # imported only here, so multiprocessing loads only with a pool
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
+        pool = ProcessPoolExecutor(max_workers=workers)
         try:
             for future in as_completed([pool.submit(_run_chunk, c) for c in chunks]):
                 yield future.result()

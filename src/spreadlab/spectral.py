@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import SpreadlabError
 from .graph import DistanceData, Graph, all_pairs_distances
-from .linalg import DEFAULT_TOL, Spectrum, SymMatrix, eigenvalues_symmetric
+from .linalg import Spectrum, SymMatrix, eigenvalues_symmetric
 
 KIND_DISTANCE = "distance"
 KIND_DSL = "dsl"
@@ -32,10 +32,11 @@ class SpreadReport:
 def dsl_rows(g: Graph, dd: DistanceData | None = None) -> tuple[tuple[int, ...], ...]:
     """Integer rows of Q(G) = Tr(G) + D(G)."""
     dd = dd or all_pairs_distances(g)
-    return tuple(
-        tuple(d + (dd.trans[i] if i == j else 0) for j, d in enumerate(row))
+    # list-built tuples are allocated at their final size (see all_pairs_distances)
+    return tuple([
+        tuple([d + (dd.trans[i] if i == j else 0) for j, d in enumerate(row)])
         for i, row in enumerate(dd.dist)
-    )
+    ])
 
 
 def matrix_of_kind(g: Graph, kind: str, dd: DistanceData | None = None) -> SymMatrix:
@@ -46,14 +47,14 @@ def matrix_of_kind(g: Graph, kind: str, dd: DistanceData | None = None) -> SymMa
     return SymMatrix(dd.dist if kind == KIND_DISTANCE else dsl_rows(g, dd))
 
 
-def spread(g: Graph, kind: str, tol: float = DEFAULT_TOL) -> SpreadReport:
+def spread(g: Graph, kind: str) -> SpreadReport:
     """Largest and least eigenvalue of D(G) or Q(G) and their difference."""
-    return matrix_spread(matrix_of_kind(g, kind), kind, tol=tol)
+    return matrix_spread(matrix_of_kind(g, kind), kind)
 
 
-def matrix_spread(m: SymMatrix, kind: str, tol: float = DEFAULT_TOL) -> SpreadReport:
+def matrix_spread(m: SymMatrix, kind: str) -> SpreadReport:
     """spread() of an already built D(G) or Q(G)."""
-    spec = eigenvalues_symmetric(m, tol=tol)
+    spec = eigenvalues_symmetric(m)
     return SpreadReport(
         kind=kind,
         rho_max=spec.largest,

@@ -2,7 +2,7 @@ import csv
 import io
 import json
 
-from spreadlab import builtin, spread
+from spreadlab import Graph, builtin, spread
 from spreadlab.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SCHEMA_VERSION, main
 
 
@@ -53,6 +53,18 @@ def test_spectrum_edges_file(tmp_path, capsys):
     assert code == EXIT_OK
     want = spread(builtin("P4"), "distance").spread
     assert f"{want:.4f}" in out
+
+
+def test_oversized_graph_exits_domain_without_building(tmp_path, capsys, monkeypatch):
+    def refuse(self, n, edges):
+        raise AssertionError(f"Graph({n}, ...) was built")
+
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    f = tmp_path / "g.txt"
+    f.write_text("0 1000000000\n")
+    for argv in (["--edges", str(f)], ["--family", "complete:100000"]):
+        code, out, err = run(capsys, "spectrum", *argv)
+        assert code == EXIT_DOMAIN and out == "" and "exceeds the limit" in err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

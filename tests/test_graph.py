@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spreadlab.graph import MAX_VERTICES
+
 from spreadlab import (
     Graph,
     NotBipartiteError,
@@ -169,6 +171,33 @@ def test_edge_list_errors():
         parse_edge_list("n 2\n0 5")
     with pytest.raises(ParseError, match="first non-empty"):
         parse_edge_list("0 1\nn 4")
+
+
+@pytest.fixture
+def no_graph_built(monkeypatch):
+    def refuse(self, n, edges):
+        raise AssertionError(f"Graph({n}, ...) was built")
+
+    monkeypatch.setattr(Graph, "__init__", refuse)
+
+
+@pytest.mark.parametrize("build, text", [
+    (parse_edge_list, "0 1000000000"),
+    (parse_edge_list, "n 1000000000"),
+    (parse_edge_list, f"n {MAX_VERTICES + 1}\n0 1"),
+    (generate, "path:1000000000"),
+    (generate, "complete:100000"),
+    (generate, f"complete_bipartite:{MAX_VERTICES},1"),
+    (generate, f"kite:{MAX_VERTICES + 1},3"),
+])
+def test_vertex_count_over_limit_rejected_before_allocation(no_graph_built, build, text):
+    with pytest.raises(ParseError, match="exceeds the limit"):
+        build(text)
+
+
+def test_vertex_count_at_limit_accepted():
+    assert parse_edge_list(f"0 {MAX_VERTICES - 1}").n == MAX_VERTICES
+    assert generate(f"star:{MAX_VERTICES}").n == MAX_VERTICES
 
 
 # ---------------------------------------------------------------------------

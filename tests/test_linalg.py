@@ -1,12 +1,15 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spreadlab import NumericError, Spectrum, SymMatrix, eigenvalues_symmetric, jacobi_eigenvalues
+import spreadlab
+from spreadlab import NumericError, Spectrum, SymMatrix, eigenvalues_symmetric
+from spreadlab.spectral import KIND_DISTANCE, KIND_DSL, matrix_of_kind
 
-from .conftest import eig2_real
+from .conftest import eig2_real, jacobi_eigenvalues, random_connected_graph
 
 
 def random_symmetric(rnd: random.Random, n: int, scale: float = 5.0) -> np.ndarray:
@@ -26,6 +29,38 @@ def test_symmatrix_exact_backing():
     assert m.rows_exact == ((0, 1), (1, 0))
     m = SymMatrix([[0.0, 1.5], [1.5, 0.0]])
     assert m.rows_exact is None
+
+
+BIG = 2 ** 70
+
+
+@pytest.mark.parametrize("rows, exact", [
+    ([[0, 1], [1, 0]], True),                                      # ints
+    (((0, 2), (2, 5)), True),                                      # tuples of ints
+    ([[False, True], [True, False]], True),                        # bools
+    (np.array([[0, 3], [3, 1]], dtype=np.int64), True),            # numpy ints
+    (np.array([[0, 3], [3, 1]], dtype=np.uint8), True),            # numpy unsigned ints
+    ([[0.0, 1.5], [1.5, 0.0]], False),                             # floats
+    ([[0, 1.5], [1.5, 0]], False),                                 # mixed int/float
+    ([[Fraction(1, 2), 1], [1, Fraction(3)]], True),               # Fractions and ints
+    ([[Fraction(1, 2), 1.0], [1.0, 0]], False),                    # Fraction and float
+    ([[0, BIG], [BIG, 1]], True),                                  # ints beyond int64
+])
+def test_symmatrix_exactness_by_input_kind(rows, exact):
+    m = SymMatrix(rows)
+    if exact:
+        assert m.rows_exact == tuple(tuple(row) for row in rows)
+        assert all(type(x) is type(y) for r, row in zip(m.rows_exact, rows) for x, y in zip(r, row))
+    else:
+        assert m.rows_exact is None
+    assert m.array.tolist() == [[float(x) for x in row] for row in rows]
+
+
+def test_symmatrix_ragged_rejected():
+    with pytest.raises(ValueError):
+        SymMatrix([[0, 1], [1]])
+    with pytest.raises(ValueError):
+        SymMatrix([[0, Fraction(1)], [Fraction(1)]])
 
 
 def test_jacobi_matches_numpy_oracle(rng):
@@ -98,6 +133,38 @@ def test_identity_spectrum():
     assert all(abs(v - 1.0) < 1e-12 for v in s.values)
 
 
-def test_bad_tolerance_rejected():
-    with pytest.raises(ValueError):
-        eigenvalues_symmetric(SymMatrix(np.eye(2)), tol=0.0)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_matrix_raises_numeric_error(bad):
+    # LAPACK returns NaN eigenvalues here without raising
+    with pytest.raises(NumericError, match="non-finite"):
+        eigenvalues_symmetric(SymMatrix([[1.0, bad], [bad, 1.0]]))
+
+
+def test_lapack_failure_becomes_numeric_error(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NumericError, match="did not converge"):
+        eigenvalues_symmetric(SymMatrix(np.eye(3)))
+
+
+def test_lapack_agrees_with_jacobi_on_distance_matrices(rng):
+    # seeded D(G) and Q(G), sparse and dense, n up to 64
+    for n in (2, 3, 5, 8, 13, 21, 34, 64):
+        for density in (0.03, 0.3):
+            g = random_connected_graph(rng, n, density)
+            for kind in (KIND_DISTANCE, KIND_DSL):
+                m = matrix_of_kind(g, kind)
+                got = eigenvalues_symmetric(m).values
+                want = sorted(jacobi_eigenvalues(m.array), reverse=True)
+                scale = max(1.0, abs(want[0]), abs(want[-1]))
+                assert len(got) == n
+                for x, y in zip(got, want):
+                    assert abs(x - y) <= 1e-9 * scale, (n, density, kind)
+
+
+def test_test_only_helpers_not_exported():
+    for module in (spreadlab, spreadlab.linalg, spreadlab.quotient):
+        for name in ("jacobi_eigenvalues", "block_spectrum"):
+            assert not hasattr(module, name), (module.__name__, name)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ import pytest
 from spreadlab import (
     InterlacingResult,
     Partition,
+    QuotientMatrix,
     Spectrum,
     SymMatrix,
     all_pairs_distances,
-    block_spectrum,
     builtin,
     complete_bipartite,
     eigenvalues_symmetric,
@@ -124,6 +125,36 @@ def test_quotient_interlacing_randomized(rng):
         outer = eigenvalues_symmetric(SymMatrix(a.tolist()))
         inner = eigenvalues_symmetric(SymMatrix(sub.tolist()))
         assert interlaces(outer, inner)
+
+
+def block_spectrum(blocks: Sequence[tuple[float, float, int]], off: Sequence[Sequence[float]]) -> Spectrum:
+    """Spectrum of a block matrix with M_ii = l_i J + p_i I, M_ij = s_ij J.
+
+    Equals the quotient spectrum joined with each p_i repeated n_i - 1 times.
+    off must be symmetric; its diagonal is ignored.
+    """
+    t = len(blocks)
+    if len(off) != t or any(len(row) != t for row in off):
+        raise ValueError("off-block coefficient table has wrong shape")
+    for i in range(t):
+        for j in range(i + 1, t):
+            if off[i][j] != off[j][i]:
+                raise ValueError(f"off-block coefficients are not symmetric at ({i}, {j})")
+    sizes = [ni for (_, _, ni) in blocks]
+    if any(ni < 1 for ni in sizes):
+        raise ValueError("block sizes must be >= 1")
+    entries = tuple(
+        tuple(
+            Fraction(blocks[i][0]) * sizes[i] + Fraction(blocks[i][1]) if i == j else Fraction(off[i][j]) * sizes[j]
+            for j in range(t)
+        )
+        for i in range(t)
+    )
+    q = QuotientMatrix(entries=entries, block_sizes=tuple(sizes), equitable=True)
+    values = list(q.eigenvalues().values)
+    for (_, p_i, n_i) in blocks:
+        values.extend([float(p_i)] * (n_i - 1))
+    return Spectrum.from_values(values)
 
 
 def test_block_spectrum_vs_direct():

@@ -1,7 +1,11 @@
+import concurrent.futures
 import dataclasses
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from spreadlab import (
     path,
     star,
 )
+import spreadlab
 from spreadlab import search
 from spreadlab.cli import main
 from spreadlab.errors import SpreadlabError
@@ -415,6 +420,47 @@ def test_conjecture_parallel_matches_serial(tmp_path):
     assert serial.graphs_checked == parallel.graphs_checked
     assert serial.minimizer_graph6 == parallel.minimizer_graph6
     assert serial.verdict == parallel.verdict
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs each
+    submitted call at once, in this process."""
+
+    requested: list[int] = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+def test_pool_capped_at_core_count(monkeypatch):
+    serial = check_conjecture(6, threads=1, chunk_size=3)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "requested", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    pooled = check_conjecture(6, threads=10_000, chunk_size=3)
+    assert InProcessPool.requested == [3] and pooled.chunks > 3
+    assert report_fields(pooled) == report_fields(serial)
+    # one core, or a count os cannot tell: no pool at all
+    for cores in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert report_fields(check_conjecture(6, threads=10_000, chunk_size=3)) == report_fields(serial)
+    assert InProcessPool.requested == [3]
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    code = "import sys, spreadlab; print('multiprocessing' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(spreadlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_threads_env(monkeypatch):
