@@ -153,24 +153,26 @@ def parse_graph6(text: str) -> Graph:
 
 def write_graph6(g: Graph, header: bool = False) -> str:
     """Encode a graph in graph6 format (bit-exact standard encoding)."""
-    n = g.n
+    adj = g.adjacency
+    bits = [1 if v in adj[u] else 0 for v in range(1, g.n) for u in range(v)]
+    return (GRAPH6_HEADER if header else "") + _encode_graph6(g.n, bits)
+
+
+def _encode_graph6(n: int, bits: list[int]) -> str:
+    """graph6 text of the graph on n vertices whose upper-triangle bits, in
+    column order (0,1), (0,2), (1,2), (0,3), ..., are bits."""
     if n <= 62:
         prefix = chr(n + 63)
     elif n <= 258047:
         prefix = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
         prefix = "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if v in g.adjacency[u] else 0)
-    while len(bits) % 6:
-        bits.append(0)
+    bits = bits + [0] * (-len(bits) % 6)
     body = "".join(
         chr(63 + (bits[i] << 5 | bits[i + 1] << 4 | bits[i + 2] << 3 | bits[i + 3] << 2 | bits[i + 4] << 1 | bits[i + 5]))
         for i in range(0, len(bits), 6)
     )
-    return (GRAPH6_HEADER if header else "") + prefix + body
+    return prefix + body
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +348,22 @@ def builtin_names() -> list[str]:
 
 
 def _bfs_distances(g: Graph, source: int) -> list[int]:
+    """Hop counts from source, -1 where unreachable; one frontier list per
+    level, so each vertex reached is one store of the level number."""
+    adj = g.adjacency
     dist = [-1] * g.n
     dist[source] = 0
-    q = deque([source])
-    while q:
-        x = q.popleft()
-        for y in g.adjacency[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                q.append(y)
+    frontier = [source]
+    level = 0
+    while frontier:
+        level += 1
+        reached = []
+        for x in frontier:
+            for y in adj[x]:
+                if dist[y] < 0:
+                    dist[y] = level
+                    reached.append(y)
+        frontier = reached
     return dist
 
 
@@ -363,9 +372,8 @@ def check_connected(g: Graph) -> None:
     if g.n == 0:
         return
     dist = _bfs_distances(g, 0)
-    for v, d in enumerate(dist):
-        if d < 0:
-            raise NotConnectedError(0, v)
+    if -1 in dist:
+        raise NotConnectedError(0, dist.index(-1))
 
 
 def is_connected(g: Graph) -> bool:
@@ -381,9 +389,8 @@ def all_pairs_distances(g: Graph) -> DistanceData:
     rows = []
     for s in range(g.n):
         d = _bfs_distances(g, s)
-        for v, dv in enumerate(d):
-            if dv < 0:
-                raise NotConnectedError(s, v)
+        if -1 in d:
+            raise NotConnectedError(s, d.index(-1))
         rows.append(tuple(d))
     # tuple(<genexpr>) allocates a guessed size and resizes, so the tuple
     # never comes from CPython's free list for its final size but is freed

@@ -34,11 +34,18 @@ class SymMatrix:
         if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {raw.shape}")
         arr = raw.astype(float)
-        scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
-        if float(np.abs(arr - arr.T).max(initial=0.0)) > _check_tol * scale:
+        # a non-finite entry, or one whose symmetrisation overflows, is
+        # refused here: LAPACK would return NaNs for it without complaint.
+        # inf - inf and the overflow itself are expected, so they do not warn.
+        with np.errstate(invalid="ignore", over="ignore"):
+            sym = (arr + arr.T) / 2.0
+            skew = float(np.abs(arr - arr.T).max(initial=0.0))
+        if not np.isfinite(sym).all():
+            raise NumericError(f"matrix of order {arr.shape[0]} has a non-finite entry")
+        if skew > _check_tol * max(1.0, float(np.abs(arr).max(initial=0.0))):
             raise ValueError("matrix is not symmetric")
         self.n = arr.shape[0]
-        self.array = (arr + arr.T) / 2.0
+        self.array = sym
         self.array.setflags(write=False)
         # numpy picks an integer or bool dtype only for exact entries; object
         # dtype (Fractions, ints beyond int64, mixtures) needs a look at each
@@ -91,11 +98,9 @@ class Spectrum:
 def eigenvalues_symmetric(m: SymMatrix) -> Spectrum:
     """All eigenvalues of a SymMatrix, sorted descending.
 
-    Raises NumericError on a non-finite entry, on which LAPACK returns NaNs
-    without complaint, and when LAPACK does not converge.
+    Raises NumericError when LAPACK does not converge; a non-finite entry is
+    already refused when the SymMatrix is built.
     """
-    if not np.isfinite(m.array).all():
-        raise NumericError(f"matrix of order {m.n} has a non-finite entry")
     try:
         values = np.linalg.eigvalsh(m.array)
     except np.linalg.LinAlgError as exc:

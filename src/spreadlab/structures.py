@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import AcyclicError, NotCactusError
-from .graph import DistanceData, Graph, all_pairs_distances, check_connected
+from .graph import DistanceData, Graph, all_pairs_distances
 
 DIAMETER_PATH_CAP = 10000
 
@@ -61,7 +61,6 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
 
 def maximum_cliques(g: Graph, dd: DistanceData | None = None) -> WitnessSet:
     """All cliques of maximum order, each as a sorted vertex tuple."""
-    check_connected(g)
     dd = dd or all_pairs_distances(g)
     cliques = maximal_cliques(g)
     omega = max((len(c) for c in cliques), default=0)
@@ -213,7 +212,6 @@ def cactus_longest_cycles(g: Graph, dd: DistanceData | None = None) -> WitnessSe
     a block with more edges is not allowed in a cactus. Raises AcyclicError
     when every block is an edge (the graph is a tree).
     """
-    check_connected(g)
     dd = dd or all_pairs_distances(g)
     cycles: list[tuple[int, ...]] = []
     for block in biconnected_components(g):

@@ -269,8 +269,17 @@ def test_distances_match_floyd_warshall(rng):
 def test_disconnected_raises_with_witness():
     g = Graph(4, [(0, 1), (2, 3)])
     assert not is_connected(g)
-    with pytest.raises(NotConnectedError):
+    with pytest.raises(NotConnectedError) as exc:
         all_pairs_distances(g)
+    assert (exc.value.u, exc.value.v) == (0, 2)
+    # the first source with an unreachable vertex, and its first such vertex
+    h = Graph(6, [(0, 1), (1, 2), (3, 4)])
+    with pytest.raises(NotConnectedError) as exc:
+        all_pairs_distances(h)
+    assert (exc.value.u, exc.value.v) == (0, 3)
+    with pytest.raises(NotConnectedError) as exc:
+        all_pairs_distances(Graph(3, [(1, 2)]))
+    assert (exc.value.u, exc.value.v) == (0, 1)
 
 
 def test_bipartition_parts_and_odd_walk(rng):

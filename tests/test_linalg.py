@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -133,11 +134,21 @@ def test_identity_spectrum():
     assert all(abs(v - 1.0) < 1e-12 for v in s.values)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_matrix_raises_numeric_error(bad):
-    # LAPACK returns NaN eigenvalues here without raising
-    with pytest.raises(NumericError, match="non-finite"):
-        eigenvalues_symmetric(SymMatrix([[1.0, bad], [bad, 1.0]]))
+@pytest.mark.parametrize("rows", [
+    pytest.param([[1.0, math.nan], [math.nan, 1.0]], id="nan"),
+    pytest.param([[1, math.inf], [math.inf, 1]], id="inf"),
+    pytest.param([[1, -math.inf], [-math.inf, 1]], id="-inf"),
+    pytest.param([[1, math.inf], [-math.inf, 1]], id="inf-and-minus-inf"),
+    # finite, but its symmetrisation overflows
+    pytest.param([[1.0, 1.7e308], [1.7e308, 1.0]], id="overflow"),
+])
+def test_non_finite_matrix_raises_numeric_error(rows):
+    # LAPACK returns NaN eigenvalues here without raising; the refusal
+    # itself must not warn either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="non-finite"):
+            SymMatrix(rows)
 
 
 def test_lapack_failure_becomes_numeric_error(monkeypatch):

@@ -27,6 +27,7 @@ from spreadlab import search
 from spreadlab.cli import main
 from spreadlab.errors import SpreadlabError
 from spreadlab.search import canonical_graph, canonical_graph6, canonical_key, canonical_labelling
+from spreadlab.spectral import KIND_DSL, spread
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +291,104 @@ def test_enumeration_range_check():
         list(enumerate_connected_bipartite(1))
     with pytest.raises(ValueError):
         list(enumerate_connected_bipartite(11))
+
+
+# ---------------------------------------------------------------------------
+# sorted-form memo
+
+
+def connected_row_tuples(n: int):
+    for a in range(1, n // 2 + 1):
+        b = n - a
+        for rows in search._row_tuples(a, b):
+            if search._rows_connected(a, b, rows):
+                yield a, b, rows
+
+
+def sorted_form(a: int, b: int, rows) -> tuple[int, ...]:
+    return search._sorted_form(a, b, rows, search._spread_table(b, a), search._spread_table(a, b))
+
+
+def columns(a: int, b: int, rows) -> list[int]:
+    return [sum(((rows[i] >> j) & 1) << i for i in range(a)) for j in range(b)]
+
+
+def test_sorted_form_permutes_rows_and_columns_and_is_idempotent():
+    for n in range(2, 8):
+        for a, b, rows in connected_row_tuples(n):
+            form = sorted_form(a, b, rows)
+            assert list(form) == sorted(form)
+            assert columns(a, b, form) == sorted(columns(a, b, form))
+            assert sorted_form(a, b, form) == form
+            # some column permutation of the input, with its rows sorted
+            assert any(
+                tuple(sorted(sum(((r >> p) & 1) << j for j, p in enumerate(perm)) for r in rows)) == form
+                for perm in itertools.permutations(range(b))
+            ), (a, b, rows, form)
+
+
+def test_sorted_forms_are_the_doubly_sorted_matrices():
+    # every form is doubly sorted, and a doubly sorted matrix is its own form
+    for n in (6, 7, 8):
+        forms = {(a, sorted_form(a, b, rows)) for a, b, rows in connected_row_tuples(n)}
+        doubly = {(a, rows) for a, b, rows in connected_row_tuples(n)
+                  if columns(a, b, rows) == sorted(columns(a, b, rows))}
+        assert forms == doubly
+
+
+def reference_run_chunk(args):
+    """_run_chunk as it was without the memo: every candidate labelled, the
+    class written as the graph6 of its canonically relabelled graph."""
+    n, a, start, end = args
+    b = n - a
+    classes, seen, candidates = {}, set(), 0
+    for rows in itertools.islice(search._row_tuples(a, b), start, end):
+        if not search._rows_connected(a, b, rows):
+            continue
+        candidates += 1
+        g = search._graph_from_rows(a, b, rows)
+        key = canonical_key(g)
+        if key not in seen:
+            seen.add(key)
+            classes[canonical_graph6(g)] = spread(g, KIND_DSL).spread
+    return a, start, end, classes, candidates
+
+
+def chunks(n: int, chunk_size: int):
+    for a in range(1, n // 2 + 1):
+        for start, end in search._chunk_ranges(search._count_row_tuples(a, n - a), chunk_size):
+            yield n, a, start, end
+
+
+@pytest.mark.parametrize("chunk_size", [search.DEFAULT_CHUNK, 97])
+def test_run_chunk_matches_labelling_every_candidate(chunk_size):
+    for n in range(2, 9):
+        for chunk in chunks(n, chunk_size):
+            got, want = search._run_chunk(chunk), reference_run_chunk(chunk)
+            assert got[:3] == want[:3] and got[4] == want[4], chunk
+            # same classes in the same order, S_Q bit for bit
+            assert [(g6, sq.hex()) for g6, sq in got[3].items()] == \
+                [(g6, sq.hex()) for g6, sq in want[3].items()], chunk
+
+
+def test_run_chunk_labels_each_sorted_form_once(monkeypatch):
+    calls = []
+    canonical = search._canonical
+
+    def counted(n, adj):
+        calls.append(n)
+        return canonical(n, adj)
+
+    monkeypatch.setattr(search, "_canonical", counted)
+    for chunk in [(8, 3, 0, 1500), (8, 3, 1500, 4000), (8, 4, 0, 3060), (7, 2, 100, 496)]:
+        n, a, start, end = chunk
+        b = n - a
+        forms = {sorted_form(a, b, rows)
+                 for rows in itertools.islice(search._row_tuples(a, b), start, end)
+                 if search._rows_connected(a, b, rows)}
+        calls.clear()
+        candidates = search._run_chunk(chunk)[4]
+        assert len(calls) == len(forms) < candidates, chunk
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@ from itertools import combinations
 
 import pytest
 
+import spreadlab
 from spreadlab import (
     AcyclicError,
     Graph,
     NotCactusError,
+    NotConnectedError,
+    bound_cactus,
+    bound_clique,
     all_pairs_distances,
     builtin,
     cactus_longest_cycles,
@@ -248,3 +252,34 @@ def test_diameter_paths_cap_stops_early_on_grid():
     for p in ws.members:
         assert p[0] == 0 and p[-1] == side * side - 1 and len(p) == 2 * (side - 1) + 1
         assert all(y in g.adjacency[x] for x, y in zip(p, p[1:]))
+
+
+# ---------------------------------------------------------------------------
+# connectivity
+
+
+def test_witness_sets_refuse_disconnected_graphs_with_first_unreachable_pair():
+    g = Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (5, 6)])
+    for fn in (maximum_cliques, cactus_longest_cycles, diameter_paths):
+        with pytest.raises(NotConnectedError) as exc:
+            fn(g)
+        assert (exc.value.u, exc.value.v) == (0, 3), fn.__name__
+
+
+def test_clique_and_cactus_bounds_sweep_connectivity_once(monkeypatch):
+    # the all-pairs sweep already proves connectivity; no separate check runs
+    calls = []
+    real = spreadlab.graph.check_connected
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    for module in (spreadlab.graph, spreadlab.spectral, spreadlab.structures, spreadlab.bounds):
+        if hasattr(module, "check_connected"):
+            monkeypatch.setattr(module, "check_connected", counting)
+    assert bound_clique(kite(5, 3)).witnesses
+    assert bound_cactus(builtin("G4")).witnesses
+    assert maximum_cliques(kite(5, 3)).members
+    assert cactus_longest_cycles(builtin("G4")).members
+    assert calls == []
