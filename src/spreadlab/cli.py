@@ -152,8 +152,9 @@ def _cmd_bound(args) -> int:
                 raise SpreadlabError(f"--vertex must be between 1 and n={g.n}, got {args.vertex}")
             v = args.vertex - 1
         else:
-            delta = g.max_degree()
-            v = next(u for u in range(g.n) if g.degree(u) == delta)
+            # the first max-degree vertex; with no vertices, an index the
+            # range check below refuses
+            v = max(range(g.n), key=g.degree, default=0)
         cmp = legacy_2012_counterexample(g, v)
         payload = {
             "command": "bound",

@@ -6,14 +6,15 @@ bitmask tuples (a cheap exact reduction of labelled duplicates), survivors
 are deduplicated by a canonical form computed with iterated colour
 refinement plus backtracking. The backtracking branches on one vertex of
 each group of twins (equal open or equal closed neighbourhoods), since
-swapping twins is an automorphism. Each candidate is first brought to a
-sorted form by sorting its biadjacency columns and rows until they stay
+swapping twins is an automorphism. The tuples are read in numpy blocks; one
+vectorised pass per block drops the disconnected ones and brings the rest to
+a sorted form by sorting biadjacency columns and rows until they stay
 sorted. Every step permutes rows or columns, so candidates with equal forms
-are isomorphic, and only a form not yet seen in the chunk is labelled: at
-n = 9, 4,290 labellings for 49,333 candidates. Only a new class is built as a
-Graph and eigensolved, and its canonical graph6 is read off the canonical
-key. Work is chunked by (a, combination range) so runs can be parallelised,
-and each finished chunk is appended to an optional checkpoint file at once.
+are isomorphic. Each process labels each form once per conjecture check and
+eigensolves each class once, on the graph read off its canonical key: at
+n = 9 serially, 2,251 labellings and 730 solves for 49,333 candidates. Work
+is chunked by (a, combination range) so runs can be parallelised, and each
+finished chunk is appended to an optional checkpoint file at once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ import time
 from collections.abc import Collection, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, islice
+from itertools import chain, combinations_with_replacement, islice
+
+import numpy as np
 
 from .errors import SpreadlabError
 from .graph import Graph, _encode_graph6, complete_bipartite, write_graph6
@@ -165,89 +168,78 @@ def _row_tuples(a: int, b: int):
     return combinations_with_replacement(range(1, 1 << b), a)
 
 
-def _rows_connected(a: int, b: int, rows: tuple[int, ...]) -> bool:
-    cover = 0
-    for r in rows:
-        cover |= r
-    if cover != (1 << b) - 1:
-        return False
-    # BFS over left indices via shared right neighbours
-    seen_left = 1
-    seen_right = rows[0]
-    frontier_right = rows[0]
-    while True:
-        new_left = 0
-        for i in range(a):
-            if not (seen_left >> i) & 1 and rows[i] & frontier_right:
-                new_left |= 1 << i
-        if not new_left:
-            break
-        seen_left |= new_left
-        new_right = 0
-        for i in range(a):
-            if (new_left >> i) & 1:
-                new_right |= rows[i]
-        frontier_right = new_right & ~seen_right
-        seen_right |= new_right
-        if not frontier_right and seen_left == (1 << a) - 1:
-            break
-    return seen_left == (1 << a) - 1 and seen_right == (1 << b) - 1
-
-
-def _graph_from_rows(a: int, b: int, rows: tuple[int, ...]) -> Graph:
-    edges = [(i, a + j) for i in range(a) for j in range(b) if (rows[i] >> j) & 1]
-    return Graph(a + b, edges)
-
-
-def _spread_table(width: int, stride: int) -> list[int]:
+def _spread_table(width: int, stride: int) -> np.ndarray:
     """Entry m: the width-bit mask m with each bit j moved to bit j * stride."""
-    return [sum(((m >> j) & 1) << j * stride for j in range(width)) for m in range(1 << width)]
+    return np.array([sum(((m >> j) & 1) << j * stride for j in range(width)) for m in range(1 << width)],
+                    dtype=np.int64)
 
 
-def _sorted_form(a: int, b: int, rows: Sequence[int], to_cols: list[int], to_rows: list[int]) -> tuple[int, ...]:
-    """Rows of the biadjacency matrix after sorting its columns (as bitmasks
-    over the rows) and then its rows, repeated until the rows stay sorted.
+# row tuples per numpy pass; bounds the kernel's temporaries
+_BLOCK = 4096
 
-    Every step permutes rows or columns, so equal forms come only from
-    isomorphic graphs. Both sorts put the larger mask last, so neither makes
-    the matrix smaller when it is read as one binary number from its last
-    row and column, and a row sort that moves anything makes it larger: the
-    loop ends. to_cols = _spread_table(b, a) and to_rows = _spread_table(a, b)
-    transpose: OR-ing the entries of the rows, each shifted by its index,
-    gives one integer holding column j at bit j * a.
+
+def _chunk_forms(a: int, b: int, start: int, end: int) -> tuple[int, list[int]]:
+    """(connected candidates, distinct sorted forms in order of first
+    candidate) among row tuples start..end of _row_tuples(a, b).
+
+    A form is a candidate's biadjacency matrix after sorting its columns (as
+    bitmasks over the rows) and then its rows, repeated until the rows stay
+    sorted, packed as one integer with row i at bit i * b. Every step permutes
+    rows or columns, so equal forms come only from isomorphic graphs. Both
+    sorts put the larger mask last, so neither makes the matrix smaller when
+    it is read as one binary number from its last row and column, and a row
+    sort that moves anything makes it larger: the loop ends. Transposing is
+    a table lookup: OR-ing each row's _spread_table(b, a) entry, shifted by
+    the row's index, gives one integer holding column j at bit j * a. For
+    n <= CONJECTURE_MAX_N these a * b bits fit an int64.
     """
-    col_mask, row_mask = (1 << a) - 1, (1 << b) - 1
-    while True:
-        t = 0
-        for i, r in enumerate(rows):
-            t |= to_cols[r] << i
-        t2 = 0
-        for j, c in enumerate(sorted([t >> (j * a) & col_mask for j in range(b)])):
-            t2 |= to_rows[c] << j
-        new = [t2 >> (i * b) & row_mask for i in range(a)]
-        rows = sorted(new)
-        if rows == new:
-            return tuple(rows)
-
-
-def _candidates(n: int, a: int, row_tuples):
-    """(rows, canonical key) of each connected candidate among row_tuples,
-    with left part size a. Candidates with equal sorted forms share one
-    canonical labelling. The adjacency is read straight off the form's rows:
-    left vertex i is i, right vertex j is a + j."""
-    b = n - a
     to_cols, to_rows = _spread_table(b, a), _spread_table(a, b)
-    keys: dict[tuple[int, ...], int] = {}
-    for rows in row_tuples:
-        if not _rows_connected(a, b, rows):
-            continue
-        form = _sorted_form(a, b, rows, to_cols, to_rows)
-        key = keys.get(form)
-        if key is None:
-            left = [tuple(a + j for j in range(b) if (r >> j) & 1) for r in form]
-            right = [tuple(i for i in range(a) if (form[i] >> j) & 1) for j in range(b)]
-            key = keys[form] = _canonical(n, left + right)[0]
-        yield rows, key
+    col_mask, row_mask = (1 << a) - 1, (1 << b) - 1
+    row_index, col_index = np.arange(a, dtype=np.int64), np.arange(b, dtype=np.int64)
+    tuples = islice(_row_tuples(a, b), start, end)
+    candidates, forms, seen = 0, [], set()
+    while True:
+        rows = np.fromiter(chain.from_iterable(islice(tuples, _BLOCK)), dtype=np.int64).reshape(-1, a)
+        if not len(rows):
+            return candidates, forms
+        # connected iff the right vertices reachable from left vertex 0 are
+        # all of them, since every row is nonzero; a - 1 rounds reach every
+        # left vertex of its component
+        reach = rows[:, 0]
+        for _ in range(a - 1):
+            reach = np.bitwise_or.reduce(np.where(rows & reach[:, None] != 0, rows, 0), axis=1)
+        rows = rows[reach == row_mask]
+        packed = np.empty(len(rows), dtype=np.int64)
+        todo = np.arange(len(rows))
+        while len(todo):
+            cols = np.bitwise_or.reduce(to_cols[rows] << row_index, axis=1)[:, None] >> col_index * a & col_mask
+            t = np.bitwise_or.reduce(to_rows[np.sort(cols, axis=1)] << col_index, axis=1)
+            new = t[:, None] >> row_index * b & row_mask
+            rows = np.sort(new, axis=1)
+            stable = (rows == new).all(axis=1)
+            packed[todo[stable]] = t[stable]
+            todo, rows = todo[~stable], rows[~stable]
+        candidates += len(packed)
+        _, first = np.unique(packed, return_index=True)
+        for form in packed[np.sort(first)].tolist():
+            if form not in seen:
+                seen.add(form)
+                forms.append(form)
+
+
+def _form_key(a: int, b: int, form: int) -> int:
+    """Canonical key of the graph whose biadjacency rows are packed in form:
+    left vertex i is i, right vertex j is a + j."""
+    row_mask = (1 << b) - 1
+    rows = [form >> i * b & row_mask for i in range(a)]
+    left = [tuple(a + j for j in range(b) if (r >> j) & 1) for r in rows]
+    right = [tuple(i for i in range(a) if (rows[i] >> j) & 1) for j in range(b)]
+    return _canonical(a + b, left + right)[0]
+
+
+def _key_graph(n: int, key: int) -> Graph:
+    """The graph whose upper-triangle bitmask is key, as in _key_graph6."""
+    return Graph(n, [(u, v) for v in range(1, n) for u in range(v) if key >> (u * n + v) & 1])
 
 
 def _key_graph6(n: int, key: int) -> str:
@@ -258,15 +250,18 @@ def _key_graph6(n: int, key: int) -> str:
 
 def enumerate_connected_bipartite(n: int):
     """Yield one representative per isomorphism class of connected bipartite
-    graphs on n vertices, in a deterministic order."""
+    graphs on n vertices, in a deterministic order: the canonical graph of
+    each class, in order of its first candidate."""
     if not (2 <= n <= CONJECTURE_MAX_N):
         raise ValueError(f"enumeration supports 2 <= n <= {CONJECTURE_MAX_N}, got {n}")
     seen: set[int] = set()
     for a in range(1, n // 2 + 1):
-        for rows, key in _candidates(n, a, _row_tuples(a, n - a)):
+        b = n - a
+        for form in _chunk_forms(a, b, 0, _count_row_tuples(a, b))[1]:
+            key = _form_key(a, b, form)
             if key not in seen:
                 seen.add(key)
-                yield _graph_from_rows(a, n - a, rows)
+                yield _key_graph(n, key)
 
 
 # ---------------------------------------------------------------------------
@@ -315,21 +310,44 @@ def _count_row_tuples(a: int, b: int) -> int:
     return comb((1 << b) - 1 + a - 1, a)
 
 
+# Per-process memos for one check_conjecture call: (a, b, form) -> canonical
+# key, and (n, canonical key) -> S_Q. A pool worker keeps them across all the
+# chunks it runs, so it labels each form and solves each class once; forked
+# workers inherit them empty, since check_conjecture clears them before the
+# pool starts and again when it returns or raises. Each entry is a function
+# of its key alone, so what a chunk reports does not depend on which chunks
+# ran before it in the same process.
+_form_keys: dict[tuple[int, int, int], int] = {}
+_class_spreads: dict[tuple[int, int], float] = {}
+
+
+def _clear_memos() -> None:
+    _form_keys.clear()
+    _class_spreads.clear()
+
+
 def _run_chunk(args) -> tuple[int, int, int, dict, int]:
     """Worker: canonical classes found in one (a, range) chunk.
 
     Returns (a, start, end, {canonical graph6: S_Q}, candidates examined).
+    Classes come in order of their first candidate; S_Q is solved on the
+    class's canonical graph.
     """
     n, a, start, end = args
     b = n - a
+    candidates, forms = _chunk_forms(a, b, start, end)
     classes: dict[str, float] = {}
     seen: set[int] = set()
-    candidates = 0
-    for rows, key in _candidates(n, a, islice(_row_tuples(a, b), start, end)):
-        candidates += 1
+    for form in forms:
+        key = _form_keys.get((a, b, form))
+        if key is None:
+            key = _form_keys[(a, b, form)] = _form_key(a, b, form)
         if key not in seen:
             seen.add(key)
-            classes[_key_graph6(n, key)] = spread(_graph_from_rows(a, b, rows), KIND_DSL).spread
+            sq = _class_spreads.get((n, key))
+            if sq is None:
+                sq = _class_spreads[(n, key)] = spread(_key_graph(n, key), KIND_DSL).spread
+            classes[_key_graph6(n, key)] = sq
     return a, start, end, classes, candidates
 
 
@@ -407,6 +425,8 @@ def check_conjecture(
         raise ValueError(f"chunk size must be >= 1, got {chunk_size}")
     if threads is None:
         threads = _threads_from_env()
+    elif threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     t0 = time.monotonic()
 
     chunks = [
@@ -416,16 +436,20 @@ def check_conjecture(
     ]
     done = _read_checkpoint(checkpoint, n, {c[1:] for c in chunks}) if checkpoint else {}
     pending = [c for c in chunks if c[1:] not in done]
-    with open(checkpoint, "a") if checkpoint else nullcontext() as ckpt_fh:
-        for a, start, end, classes, candidates in _completed(pending, threads):
-            done[(a, start, end)] = (classes, candidates)
-            if ckpt_fh:
-                ckpt_fh.write(json.dumps({
-                    "n": n, "a": a, "start": start, "end": end,
-                    "classes": classes, "candidates": candidates,
-                }) + "\n")
-                ckpt_fh.flush()
-                os.fsync(ckpt_fh.fileno())
+    _clear_memos()
+    try:
+        with open(checkpoint, "a") if checkpoint else nullcontext() as ckpt_fh:
+            for a, start, end, classes, candidates in _completed(pending, threads):
+                done[(a, start, end)] = (classes, candidates)
+                if ckpt_fh:
+                    ckpt_fh.write(json.dumps({
+                        "n": n, "a": a, "start": start, "end": end,
+                        "classes": classes, "candidates": candidates,
+                    }) + "\n")
+                    ckpt_fh.flush()
+                    os.fsync(ckpt_fh.fileno())
+    finally:
+        _clear_memos()
 
     merged: dict[str, float] = {}
     candidates_total = 0

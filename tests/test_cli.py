@@ -1,6 +1,10 @@
+import contextlib
 import csv
 import io
 import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spreadlab import Graph, builtin, spread
 from spreadlab.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SCHEMA_VERSION, main
@@ -105,6 +109,15 @@ def test_bound_legacy_default_vertex(capsys):
     assert "vertex: v1" in out  # first maximum-degree vertex
 
 
+def test_bound_legacy_default_vertex_on_empty_graph(capsys, tmp_path):
+    # with no vertices there is no default vertex: this used to raise
+    # StopIteration out of main()
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    code, out, err = run(capsys, "bound", "--edges", str(empty), "--method", "legacy-2012")
+    assert code == EXIT_DOMAIN and out == "" and "out of range" in err
+
+
 def test_bound_legacy_vertex_out_of_range(capsys):
     # G1 has 7 vertices: K = 0 used to wrap to v7, K = 99 to raise IndexError
     for k in ("0", "8", "99"):
@@ -185,6 +198,73 @@ def test_conjecture_cli_rejects_chunk_size_zero(capsys):
     assert code == EXIT_DOMAIN and "chunk size" in err
 
 
+def test_conjecture_cli_rejects_threads_below_one(capsys):
+    for threads in ("0", "-3"):
+        code, _, err = run(capsys, "conjecture", "--n", "4", "--threads", threads)
+        assert code == EXIT_DOMAIN and "threads" in err
+
+
 def test_version(capsys):
     assert main(["--version"]) == EXIT_OK
     assert "spreadlab" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every input ends in a documented exit code, never a traceback
+
+FAMILY_NAMES = ["complete", "path", "star", "cycle", "complete_bipartite", "kite", " Kite ", "wheel"]
+COMMANDS = [["spectrum"], ["spectrum", "--matrix", "dsl", "--json"]] + [
+    ["bound", "--method", m] for m in ("bipartite-distance", "bipartite-dsl", "clique", "diameter", "cactus")
+] + [["bound", "--method", "legacy-2012"], ["bound", "--method", "legacy-2012", "--vertex", "2"]]
+
+# parameters stay small so each example runs in milliseconds; oversized
+# orders are covered by test_oversized_graph_exits_domain_without_building
+family_descriptors = st.one_of(
+    st.text(max_size=20),
+    st.builds(
+        lambda name, sep, params: name + sep + ",".join(params),
+        st.sampled_from(FAMILY_NAMES),
+        st.sampled_from([":", "", "::", ": "]),
+        st.lists(st.one_of(st.integers(-3, 30).map(str), st.text(max_size=3)), max_size=3),
+    ),
+)
+edge_lists = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.one_of(st.integers(-2, 12).map(str), st.sampled_from(["n", "#", "\n", "x", "1.5"])),
+             max_size=30).map(" ".join),
+)
+graph6_texts = st.one_of(
+    st.text(max_size=20),
+    st.text(alphabet=st.characters(min_codepoint=63, max_codepoint=126), max_size=12),
+    st.sampled_from([">>graph6<<", "~", "~~", "~?", "~~~~~~~~"]).flatmap(
+        lambda head: st.text(alphabet=st.characters(min_codepoint=63, max_codepoint=126), max_size=8).map(
+            lambda tail: head + tail)),
+)
+
+
+def run_fuzzed(argv) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DOMAIN, EXIT_VERIFY), (argv, code)
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(COMMANDS), graph6_texts)
+def test_fuzz_graph6_input(command, text):
+    run_fuzzed(command + [f"--g6={text}"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(COMMANDS), family_descriptors)
+def test_fuzz_family_input(command, descriptor):
+    run_fuzzed(command + [f"--family={descriptor}"])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(COMMANDS), text=edge_lists)
+def test_fuzz_edge_list_input(tmp_path, command, text):
+    edges = tmp_path / "edges.txt"
+    edges.write_text(text, encoding="utf-8")
+    run_fuzzed(command + ["--edges", str(edges)])

@@ -19,6 +19,7 @@ from spreadlab import (
     cycle,
     enumerate_connected_bipartite,
     isomorphic,
+    parse_graph6,
     path,
     star,
 )
@@ -294,23 +295,78 @@ def test_enumeration_range_check():
 
 
 # ---------------------------------------------------------------------------
-# sorted-form memo
+# sorted forms: the numpy kernel against a scalar reference
+
+
+def rows_connected(a: int, b: int, rows) -> bool:
+    """Whether the bipartite graph with left row masks rows is connected:
+    a BFS over left indices via shared right neighbours."""
+    cover = 0
+    for r in rows:
+        cover |= r
+    if cover != (1 << b) - 1:
+        return False
+    seen_left = 1
+    seen_right = frontier_right = rows[0]
+    while True:
+        new_left = 0
+        for i in range(a):
+            if not (seen_left >> i) & 1 and rows[i] & frontier_right:
+                new_left |= 1 << i
+        if not new_left:
+            break
+        seen_left |= new_left
+        new_right = 0
+        for i in range(a):
+            if (new_left >> i) & 1:
+                new_right |= rows[i]
+        frontier_right = new_right & ~seen_right
+        seen_right |= new_right
+    return seen_left == (1 << a) - 1 and seen_right == (1 << b) - 1
+
+
+def columns(a: int, b: int, rows) -> list[int]:
+    return [sum(((rows[i] >> j) & 1) << i for i in range(a)) for j in range(b)]
+
+
+def sorted_form(a: int, b: int, rows) -> tuple[int, ...]:
+    """Rows after sorting the columns (as bitmasks over the rows) and then
+    the rows, repeated until the rows stay sorted."""
+    rows = list(rows)
+    while True:
+        cols = sorted(columns(a, b, rows))
+        new = [sum(((cols[j] >> i) & 1) << j for j in range(b)) for i in range(a)]
+        rows = sorted(new)
+        if rows == new:
+            return tuple(rows)
+
+
+def packed(b: int, form) -> int:
+    return sum(r << (i * b) for i, r in enumerate(form))
+
+
+def graph_from_rows(a: int, b: int, rows) -> Graph:
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b) if (rows[i] >> j) & 1])
 
 
 def connected_row_tuples(n: int):
     for a in range(1, n // 2 + 1):
         b = n - a
         for rows in search._row_tuples(a, b):
-            if search._rows_connected(a, b, rows):
+            if rows_connected(a, b, rows):
                 yield a, b, rows
 
 
-def sorted_form(a: int, b: int, rows) -> tuple[int, ...]:
-    return search._sorted_form(a, b, rows, search._spread_table(b, a), search._spread_table(a, b))
-
-
-def columns(a: int, b: int, rows) -> list[int]:
-    return [sum(((rows[i] >> j) & 1) << i for i in range(a)) for j in range(b)]
+def reference_chunk_forms(a: int, b: int, start: int, end: int):
+    """search._chunk_forms one candidate at a time."""
+    candidates, forms = 0, []
+    for rows in itertools.islice(search._row_tuples(a, b), start, end):
+        if rows_connected(a, b, rows):
+            candidates += 1
+            form = packed(b, sorted_form(a, b, rows))
+            if form not in forms:
+                forms.append(form)
+    return candidates, forms
 
 
 def test_sorted_form_permutes_rows_and_columns_and_is_idempotent():
@@ -336,28 +392,41 @@ def test_sorted_forms_are_the_doubly_sorted_matrices():
         assert forms == doubly
 
 
-def reference_run_chunk(args):
-    """_run_chunk as it was without the memo: every candidate labelled, the
-    class written as the graph6 of its canonically relabelled graph."""
-    n, a, start, end = args
-    b = n - a
-    classes, seen, candidates = {}, set(), 0
-    for rows in itertools.islice(search._row_tuples(a, b), start, end):
-        if not search._rows_connected(a, b, rows):
-            continue
-        candidates += 1
-        g = search._graph_from_rows(a, b, rows)
-        key = canonical_key(g)
-        if key not in seen:
-            seen.add(key)
-            classes[canonical_graph6(g)] = spread(g, KIND_DSL).spread
-    return a, start, end, classes, candidates
-
-
 def chunks(n: int, chunk_size: int):
     for a in range(1, n // 2 + 1):
         for start, end in search._chunk_ranges(search._count_row_tuples(a, n - a), chunk_size):
             yield n, a, start, end
+
+
+@pytest.mark.parametrize("chunk_size, block", [(search.DEFAULT_CHUNK, search._BLOCK), (97, search._BLOCK),
+                                               (search.DEFAULT_CHUNK, 7)])
+def test_chunk_forms_match_scalar_reference(chunk_size, block, monkeypatch):
+    # block 7 splits every chunk into many numpy passes, so forms that recur
+    # across passes must keep their first place
+    monkeypatch.setattr(search, "_BLOCK", block)
+    for n in range(2, 9):
+        for _, a, start, end in chunks(n, chunk_size):
+            assert search._chunk_forms(a, n - a, start, end) == reference_chunk_forms(a, n - a, start, end), \
+                (n, a, start, end)
+
+
+def reference_run_chunk(args):
+    """_run_chunk without sorted forms or memos: every candidate labelled,
+    the class written as the graph6 of its canonically relabelled graph and
+    solved on that graph."""
+    n, a, start, end = args
+    b = n - a
+    classes, seen, candidates = {}, set(), 0
+    for rows in itertools.islice(search._row_tuples(a, b), start, end):
+        if not rows_connected(a, b, rows):
+            continue
+        candidates += 1
+        g = graph_from_rows(a, b, rows)
+        key = canonical_key(g)
+        if key not in seen:
+            seen.add(key)
+            classes[canonical_graph6(g)] = spread(canonical_graph(g), KIND_DSL).spread
+    return a, start, end, classes, candidates
 
 
 @pytest.mark.parametrize("chunk_size", [search.DEFAULT_CHUNK, 97])
@@ -371,24 +440,32 @@ def test_run_chunk_matches_labelling_every_candidate(chunk_size):
                 [(g6, sq.hex()) for g6, sq in want[3].items()], chunk
 
 
-def test_run_chunk_labels_each_sorted_form_once(monkeypatch):
-    calls = []
-    canonical = search._canonical
+def memos_empty() -> bool:
+    return not search._form_keys and not search._class_spreads
 
-    def counted(n, adj):
-        calls.append(n)
+
+@pytest.mark.parametrize("chunk_size", [search.DEFAULT_CHUNK, 97])
+def test_conjecture_labels_each_form_and_solves_each_class_once(chunk_size, monkeypatch):
+    # at chunk size 97, forms and classes recur across chunks
+    labelled, solved = [], []
+    canonical, solve = search._canonical, search.spread
+
+    def counted_canonical(n, adj):
+        labelled.append(n)
         return canonical(n, adj)
 
-    monkeypatch.setattr(search, "_canonical", counted)
-    for chunk in [(8, 3, 0, 1500), (8, 3, 1500, 4000), (8, 4, 0, 3060), (7, 2, 100, 496)]:
-        n, a, start, end = chunk
-        b = n - a
-        forms = {sorted_form(a, b, rows)
-                 for rows in itertools.islice(search._row_tuples(a, b), start, end)
-                 if search._rows_connected(a, b, rows)}
-        calls.clear()
-        candidates = search._run_chunk(chunk)[4]
-        assert len(calls) == len(forms) < candidates, chunk
+    def counted_spread(g, kind):
+        solved.append(g.n)
+        return solve(g, kind)
+
+    monkeypatch.setattr(search, "_canonical", counted_canonical)
+    monkeypatch.setattr(search, "spread", counted_spread)
+    report = check_conjecture(8, threads=1, chunk_size=chunk_size)
+    forms = {(a, sorted_form(a, b, rows)) for a, b, rows in connected_row_tuples(8)}
+    # the K_{4,4} reference is labelled and solved once more
+    assert len(labelled) == len(forms) + 1 < report.candidates
+    assert len(solved) == report.graphs_checked + 1 == 183
+    assert memos_empty()
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +491,20 @@ def test_conjecture_holds_small(n):
     assert report.verdict == "holds"
     assert not report.counterexamples
     minimizer = report.minimizer_graph6
-    from spreadlab import parse_graph6
-
     assert isomorphic(parse_graph6(minimizer), complete_bipartite(n // 2, n - n // 2))
 
 
 def test_conjecture_range_check():
     with pytest.raises(ValueError):
         check_conjecture(1)
+
+
+def test_conjecture_n9_serial_and_parallel_agree():
+    serial = check_conjecture(9, threads=1)
+    parallel = check_conjecture(9, threads=2)
+    assert report_fields(parallel) == report_fields(serial)
+    assert (serial.graphs_checked, serial.candidates, serial.verdict) == (730, 49333, "holds")
+    assert isomorphic(parse_graph6(serial.minimizer_graph6), complete_bipartite(4, 5))
 
 
 def test_conjecture_checkpoint_resume(tmp_path):
@@ -460,6 +543,7 @@ def test_conjecture_checkpoints_each_chunk_as_it_completes(tmp_path, monkeypatch
     monkeypatch.setattr(search, "_run_chunk", killed_after_four)
     with pytest.raises(RuntimeError, match="killed"):
         check_conjecture(6, chunk_size=3, checkpoint=str(ckpt))
+    assert memos_empty()
     records = [json.loads(line) for line in ckpt.read_text().splitlines()]
     assert [(r["a"], r["start"], r["end"]) for r in records] == [c[1:] for c in calls]
     monkeypatch.setattr(search, "_run_chunk", run_chunk)
@@ -581,3 +665,9 @@ def test_conjecture_rejects_chunk_size_below_one():
     for size in (0, -5):
         with pytest.raises(ValueError, match="chunk size"):
             check_conjecture(4, chunk_size=size)
+
+
+def test_conjecture_rejects_threads_below_one():
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            check_conjecture(4, threads=threads)
