@@ -46,7 +46,7 @@ from .graph import (
     write_graph6,
 )
 from .linalg import Spectrum, SymMatrix, eigenvalues_symmetric
-from .quotient import InterlacingResult, Partition, QuotientMatrix, interlaces, quotient
+from .quotient import InterlacingResult, QuotientMatrix, interlaces
 from .search import (
     ConjectureReport,
     canonical_graph,

@@ -6,7 +6,8 @@ longest cactus cycle), forms the 2x2 quotient of D(G) or Q(G), and reads the
 spread bound off its characteristic polynomial. All five share one witness
 engine over one analysis of the graph; it checks each method's published
 coefficients a_i, b_i against the quotient's exact trace and determinant.
-Everything is exact integer arithmetic up to the final square root.
+Everything is exact integer arithmetic up to the final square root. The
+quarantined 2012 refutation forms its true quotient with the same routine.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from fractions import Fraction
 from .errors import DegenerateBoundError, SpreadlabError
 from .graph import Graph, all_pairs_distances, average_distance_degree, bipartition
 from .linalg import SymMatrix
-from .quotient import Partition, QuotientMatrix, quotient
-from .spectral import KIND_DISTANCE, KIND_DSL, closed_form_spread, matrix_of_kind, matrix_spread
+from .quotient import QuotientMatrix
+from .spectral import KIND_DISTANCE, KIND_DSL, closed_form_spread, dsl_rows, matrix_spread
 from .structures import DIAMETER_PATH_CAP, cactus_longest_cycles, diameter_paths, maximum_cliques
 
 METHOD_BIPARTITE_DISTANCE = "bipartite_distance"
@@ -79,41 +80,59 @@ def _report(method, pname, param, true_report, witnesses=(), closed_value=None, 
 
 
 def _analyse(g: Graph, kind: str):
-    """The one analysis behind a bound: distances, D(G) or Q(G), its spread."""
+    """The one analysis behind a bound: distances, the integer rows of D(G)
+    or Q(G), and its spread."""
     dd = all_pairs_distances(g)
-    m = matrix_of_kind(g, kind, dd)
-    return dd, m, matrix_spread(m, kind)
+    rows = dd.dist if kind == KIND_DISTANCE else dsl_rows(dd)
+    return dd, rows, matrix_spread(SymMatrix(rows), kind)
 
 
-def _witnesses(m: SymMatrix, c: int, signs: tuple[int, int], items) -> list[Witness]:
-    """Evaluate every witness of a bound on the matrix m.
+def _quotient(rows, row_sums: list[int], total: int, inside) -> tuple[QuotientMatrix, int, int, int]:
+    """Exact 2x2 quotient of a symmetric integer matrix around a vertex set.
+
+    rows are the matrix's rows, row_sums their sums and total the sum of all
+    entries; inside is the sorted vertex set S, and the partition is
+    {S, V\\S}. Returns the quotient and its integer block sums X11 over S x S,
+    X12 over S x V\\S and X22 over V\\S x V\\S: with R the row sums over S,
+    X12 = R - X11 and X22 = total - 2R + X11.
+    """
+    into = [sum(col) for col in zip(*(rows[v] for v in inside))]  # rows are symmetric
+    members = set(inside)
+    outside = [u for u in range(len(rows)) if u not in members]
+    k, k_out = len(inside), len(outside)
+    x11 = sum(into[u] for u in inside)
+    r = sum(row_sums[u] for u in inside)
+    x12, x22 = r - x11, total - 2 * r + x11
+    equitable = all(
+        len({into[u] for u in block}) == 1 and len({row_sums[u] - into[u] for u in block}) == 1
+        for block in (inside, outside)
+    )
+    q = QuotientMatrix(
+        entries=((Fraction(x11, k), Fraction(x12, k)), (Fraction(x12, k_out), Fraction(x22, k_out))),
+        block_sizes=(k, k_out),
+        equitable=equitable,
+    )
+    return q, x11, x12, x22
+
+
+def _witnesses(rows, c: int, signs: tuple[int, int], items) -> list[Witness]:
+    """Evaluate every witness of a bound on the integer matrix rows.
 
     Each item is (label, vertices, S, s_or_t, a, b), where S is the vertex
     set the partition {S, V\\S} is taken around and (a, b) are the paper's
-    coefficients. The 2x2 quotient comes from integer block sums: X11 over
-    S x S, R the row sums over S, X12 = R - X11 and X22 = total - 2R + X11.
-    With C = c|S||V\\S|, the paper's closed form says C*trace = signs[0]*a
-    and C*det = signs[1]*b; any mismatch raises. The eigenvalue pair is
-    (A +- sqrt(A^2 - 4CB)) / 2C for A = C*trace, B = C*det, and the bound is
-    its gap.
+    coefficients. With C = c|S||V\\S| and the block sums of _quotient, the
+    paper's closed form says C*trace = signs[0]*a and C*det = signs[1]*b; any
+    mismatch raises. The eigenvalue pair is (A +- sqrt(A^2 - 4CB)) / 2C for
+    A = C*trace, B = C*det, and the bound is its gap.
     """
-    rows = m.rows_exact
     n = len(rows)
     row_sums = [sum(row) for row in rows]
     total = sum(row_sums)
     out = []
     for label, vertices, inside, s_or_t, a, b in items:
-        into = [sum(col) for col in zip(*(rows[v] for v in inside))]  # m is symmetric
-        members = set(inside)
-        outside = [u for u in range(n) if u not in members]
-        k, k_out = len(inside), len(outside)
-        x11 = sum(into[u] for u in inside)
-        r = sum(row_sums[u] for u in inside)
-        x12, x22 = r - x11, total - 2 * r + x11
-        equitable = all(
-            len({into[u] for u in block}) == 1 and len({row_sums[u] - into[u] for u in block}) == 1
-            for block in (inside, outside)
-        )
+        q, x11, x12, x22 = _quotient(rows, row_sums, total, inside)
+        k = len(inside)
+        k_out = n - k
         C = c * k * k_out
         A = c * (x11 * k_out + x22 * k)
         B = c * (x11 * x22 - x12 * x12)
@@ -128,16 +147,18 @@ def _witnesses(m: SymMatrix, c: int, signs: tuple[int, int], items) -> list[Witn
             a=a,
             b=b,
             s_or_t=s_or_t,
-            quotient=QuotientMatrix(
-                entries=((Fraction(x11, k), Fraction(x12, k)), (Fraction(x12, k_out), Fraction(x22, k_out))),
-                block_sizes=(k, k_out),
-                equitable=equitable,
-            ),
+            quotient=q,
             lam1=(A + root) / (2 * C),
             lam2=(A - root) / (2 * C),
             bound_value=root / C,
         ))
     return out
+
+
+def _with_trans_sums(witness_set, dd):
+    """Each member of a witness set with s, the sum of its vertices'
+    transmissions."""
+    return [(member, sum(dd.trans[v] for v in member)) for member in witness_set.members]
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +167,7 @@ def _witnesses(m: SymMatrix, c: int, signs: tuple[int, int], items) -> list[Witn
 
 def _bipartite_bound(g: Graph, kind: str) -> BoundReport:
     bipartition(g)
-    dd, m, true_report = _analyse(g, kind)
+    dd, rows, true_report = _analyse(g, kind)
     n = g.n
     delta = g.max_degree()
     method = METHOD_BIPARTITE_DISTANCE if kind == KIND_DISTANCE else METHOD_BIPARTITE_DSL
@@ -172,7 +193,7 @@ def _bipartite_bound(g: Graph, kind: str) -> BoundReport:
             b = (4 * d_v * d_v + 8 * d_v * t_delta + 4 * t_delta * t_delta
                  - 8 * W * delta * delta - 4 * W * d_v - 4 * W * t_delta)
         items.append((f"v{v + 1}", (v,), sorted({v, *g.adjacency[v]}), t_v, a, b))
-    return _report(method, "max_degree", delta, true_report, _witnesses(m, 1, (1, -1), items))
+    return _report(method, "max_degree", delta, true_report, _witnesses(rows, 1, (1, -1), items))
 
 
 def bound_bipartite_distance(g: Graph) -> BoundReport:
@@ -192,9 +213,9 @@ def bound_bipartite_dsl(g: Graph) -> BoundReport:
 
 def bound_clique(g: Graph) -> BoundReport:
     """DSL-spread lower bound indexed by the maximum cliques."""
-    dd, m, true_report = _analyse(g, KIND_DSL)
+    dd, rows, true_report = _analyse(g, KIND_DSL)
     n = g.n
-    cliques = maximum_cliques(g, dd)
+    cliques = maximum_cliques(g)
     omega = cliques.parameter
     if omega < 2:
         raise SpreadlabError(f"clique bound needs omega >= 2, got omega={omega}")
@@ -206,9 +227,9 @@ def bound_clique(g: Graph) -> BoundReport:
         ("{" + ",".join(f"v{v + 1}" for v in member) + "}", member, member, Fraction(s),
          n * omega * (1 - omega) + 4 * omega * (s - W) - n * s,
          4 * W * omega * (omega - 1) + 4 * s * (W - s))
-        for member, s in zip(cliques.members, cliques.s_values)
+        for member, s in _with_trans_sums(cliques, dd)
     ]
-    return _report(METHOD_CLIQUE, "clique_number", omega, true_report, _witnesses(m, 1, (-1, 1), items))
+    return _report(METHOD_CLIQUE, "clique_number", omega, true_report, _witnesses(rows, 1, (-1, 1), items))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +238,7 @@ def bound_clique(g: Graph) -> BoundReport:
 
 def bound_diameter(g: Graph, cap: int = DIAMETER_PATH_CAP) -> BoundReport:
     """DSL-spread lower bound indexed by the diameter paths."""
-    dd, m, true_report = _analyse(g, KIND_DSL)
+    dd, rows, true_report = _analyse(g, KIND_DSL)
     n = g.n
     d = dd.diameter
     if d == 1:
@@ -232,9 +253,9 @@ def bound_diameter(g: Graph, cap: int = DIAMETER_PATH_CAP) -> BoundReport:
         ("-".join(f"v{v + 1}" for v in member), member, member, Fraction(s),
          12 * (1 + d) * (s - W) - n * d * (d + 1) * (d + 2) - 3 * n * s,
          4 * d * (d + 1) * (d + 2) * W + 12 * s * (W - s))
-        for member, s in zip(paths.members, paths.s_values)
+        for member, s in _with_trans_sums(paths, dd)
     ]
-    return _report(METHOD_DIAMETER, "diameter", d, true_report, _witnesses(m, 3, (-1, 1), items),
+    return _report(METHOD_DIAMETER, "diameter", d, true_report, _witnesses(rows, 3, (-1, 1), items),
                    truncated=paths.truncated)
 
 
@@ -244,9 +265,9 @@ def bound_diameter(g: Graph, cap: int = DIAMETER_PATH_CAP) -> BoundReport:
 
 def bound_cactus(g: Graph) -> BoundReport:
     """DSL-spread lower bound for cacti, indexed by the longest cycles."""
-    dd, m, true_report = _analyse(g, KIND_DSL)
+    dd, rows, true_report = _analyse(g, KIND_DSL)
     n = g.n
-    cycles = cactus_longest_cycles(g, dd)
+    cycles = cactus_longest_cycles(g)
     l = cycles.parameter
     if l == n:
         raise DegenerateBoundError(
@@ -257,9 +278,9 @@ def bound_cactus(g: Graph) -> BoundReport:
         ("(" + ",".join(f"v{v + 1}" for v in member) + ")", member, member, Fraction(s),
          l ** 3 * n + 4 * n * s - odd * l * n - 16 * l * (s - W),
          4 * (l ** 3 - odd * l) * W - 16 * s * (s - W))
-        for member, s in zip(cycles.members, cycles.s_values)
+        for member, s in _with_trans_sums(cycles, dd)
     ]
-    return _report(METHOD_CACTUS, "circumference", l, true_report, _witnesses(m, 4, (1, 1), items))
+    return _report(METHOD_CACTUS, "circumference", l, true_report, _witnesses(rows, 4, (1, 1), items))
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +300,10 @@ class LegacyComparison:
 def legacy_2012_counterexample(g: Graph, v: int) -> LegacyComparison:
     """Evaluate the incorrect published quotient formula B1 at a max-degree
     vertex and compare it with the true quotient B2 of D(G) in exact
-    arithmetic. The two disagree on every valid input, which refutes the
-    bound the formula supported. Never used by any other bound.
+    arithmetic. B2 is built by the engine's own block sums around the closed
+    neighbourhood of v, so it is the bipartite-distance witness quotient at v.
+    The two disagree on every valid input, which refutes the bound the
+    formula supported. Never used by any other bound.
     """
     n = g.n
     if not 0 <= v < n:
@@ -300,5 +323,5 @@ def legacy_2012_counterexample(g: Graph, v: int) -> LegacyComparison:
         (Fraction(t_delta + delta - 2 * delta * delta, n - delta - 1),
          Fraction(S - 2 * t_delta + 2 * delta * (delta - 1), n - delta - 1)),
     )
-    b2 = quotient(dd.dist, Partition.around({v, *g.adjacency[v]}, n))
+    b2 = _quotient(dd.dist, dd.trans, S, sorted({v, *g.adjacency[v]}))[0]
     return LegacyComparison(b1=b1, b2=b2, equal=(b1 == b2.entries))

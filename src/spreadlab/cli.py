@@ -24,7 +24,7 @@ from .bounds import (
 )
 from .errors import SpreadlabError
 from .graph import Graph, builtin, generate, parse_edge_list, parse_graph6
-from .search import check_conjecture
+from .search import DEFAULT_CHUNK, check_conjecture
 from .spectral import spread
 from .tables import verify_tables
 
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--threads", type=int, default=None,
                    help="parallel workers (default: SPREADLAB_THREADS or 1)")
-    p.add_argument("--chunk-size", type=int, default=20000)
+    p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK)
     p.add_argument("--checkpoint", metavar="PATH",
                    help="JSON-lines checkpoint file for resumable runs")
     _add_output_flags(p)

@@ -20,20 +20,18 @@ GROUP_TOL = 1e-8
 
 
 class SymMatrix:
-    """Real symmetric matrix.
+    """Real symmetric matrix, held as a read-only float array.
 
-    Construction symmetrises the input; an exact integer/rational backing is
-    kept when the input entries are exact, so quotient matrices can be formed
-    without floating-point noise.
+    Construction checks symmetry and symmetrises the input. Exact quotients
+    are formed from the integer rows the matrix was built from, not from it.
     """
 
-    __slots__ = ("n", "array", "rows_exact")
+    __slots__ = ("n", "array")
 
     def __init__(self, rows: Sequence[Sequence], _check_tol: float = 1e-9):
-        raw = np.array(rows)
-        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {raw.shape}")
-        arr = raw.astype(float)
+        arr = np.array(rows, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
         # a non-finite entry, or one whose symmetrisation overflows, is
         # refused here: LAPACK would return NaNs for it without complaint.
         # inf - inf and the overflow itself are expected, so they do not warn.
@@ -47,13 +45,6 @@ class SymMatrix:
         self.n = arr.shape[0]
         self.array = sym
         self.array.setflags(write=False)
-        # numpy picks an integer or bool dtype only for exact entries; object
-        # dtype (Fractions, ints beyond int64, mixtures) needs a look at each
-        exact = raw.dtype.kind in "iub" or raw.dtype.kind == "O" and all(
-            isinstance(x, (int, np.integer)) or getattr(x, "denominator", None) is not None
-            for x in raw.flat
-        )
-        self.rows_exact = tuple([tuple(row) for row in rows]) if exact else None
 
     def __repr__(self):
         return f"SymMatrix(n={self.n})"

@@ -1,62 +1,17 @@
-"""Vertex partitions, quotient matrices and the interlacing check.
+"""Quotient matrices and the interlacing check.
 
-Quotient entries are exact rationals whenever the source matrix has exact
-entries; eigenvalues of a (generally non-symmetric) quotient of a symmetric
-matrix are obtained through the similarity transform
-diag(sqrt(n_i)) B diag(1/sqrt(n_i)), which is symmetric.
+Every bound in the paper is read off a 2x2 quotient matrix around one witness
+set; its eigenvalues interlace those of the whole matrix (Haemers, 1995),
+which is what makes the quotient's spread a lower bound. The bound engine in
+bounds.py forms each QuotientMatrix exactly from integer block sums.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .linalg import Spectrum, SymMatrix, eigenvalues_symmetric
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Ordered list of disjoint nonempty vertex blocks covering 0..n-1."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block:
-                raise ValueError("partition block is empty")
-            for v in block:
-                if v in seen:
-                    raise ValueError(f"vertex {v} appears in two blocks")
-                seen.add(v)
-        if seen != set(range(len(seen))):
-            raise ValueError("partition does not cover 0..n-1")
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    @property
-    def t(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
-
-    @staticmethod
-    def of(*blocks) -> "Partition":
-        return Partition(tuple(tuple(sorted(b)) for b in blocks))
-
-    @staticmethod
-    def around(vertices, n: int) -> "Partition":
-        """Two-block partition: the given vertex set, then the rest."""
-        inside = tuple(sorted(vertices))
-        members = set(inside)
-        outside = tuple(v for v in range(n) if v not in members)
-        return Partition((inside, outside))
+from .linalg import Spectrum
 
 
 @dataclass(frozen=True)
@@ -70,50 +25,6 @@ class QuotientMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
     block_sizes: tuple[int, ...]
     equitable: bool
-
-    @property
-    def t(self) -> int:
-        return len(self.block_sizes)
-
-    def as_floats(self) -> list[list[float]]:
-        return [[float(x) for x in row] for row in self.entries]
-
-    def eigenvalues(self) -> Spectrum:
-        """Eigenvalues via the symmetric similarity diag(sqrt(n_i)) scaling.
-
-        Real whenever the source matrix was symmetric.
-        """
-        roots = [math.sqrt(s) for s in self.block_sizes]
-        return eigenvalues_symmetric(SymMatrix([
-            [float(self.entries[i][j]) * roots[i] / roots[j] for j in range(self.t)]
-            for i in range(self.t)
-        ]))
-
-
-def _exact_rows(m) -> Sequence[Sequence]:
-    if isinstance(m, SymMatrix):
-        return m.rows_exact if m.rows_exact is not None else m.array.tolist()
-    return m
-
-
-def quotient(m, p: Partition) -> QuotientMatrix:
-    """Quotient matrix of m (SymMatrix or row sequence) w.r.t. partition p."""
-    rows = _exact_rows(m)
-    n = len(rows)
-    if p.n != n:
-        raise ValueError(f"partition covers {p.n} indices but matrix has order {n}")
-    entries = []
-    equitable = True
-    for bi in p.blocks:
-        row_entries = []
-        for bj in p.blocks:
-            row_sums = [sum(rows[u][v] for v in bj) for u in bi]
-            total = sum(row_sums)
-            row_entries.append(Fraction(total, len(bi)) if isinstance(total, int) else Fraction(total) / len(bi))
-            if any(rs != row_sums[0] for rs in row_sums[1:]):
-                equitable = False
-        entries.append(tuple(row_entries))
-    return QuotientMatrix(entries=tuple(entries), block_sizes=p.sizes, equitable=equitable)
 
 
 @dataclass(frozen=True)

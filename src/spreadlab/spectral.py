@@ -29,9 +29,8 @@ class SpreadReport:
     spectrum: Spectrum
 
 
-def dsl_rows(g: Graph, dd: DistanceData | None = None) -> tuple[tuple[int, ...], ...]:
-    """Integer rows of Q(G) = Tr(G) + D(G)."""
-    dd = dd or all_pairs_distances(g)
+def dsl_rows(dd: DistanceData) -> tuple[tuple[int, ...], ...]:
+    """Integer rows of Q(G) = Tr(G) + D(G), from the graph's all_pairs_distances."""
     # list-built tuples are allocated at their final size (see all_pairs_distances)
     return tuple([
         tuple([d + (dd.trans[i] if i == j else 0) for j, d in enumerate(row)])
@@ -39,12 +38,12 @@ def dsl_rows(g: Graph, dd: DistanceData | None = None) -> tuple[tuple[int, ...],
     ])
 
 
-def matrix_of_kind(g: Graph, kind: str, dd: DistanceData | None = None) -> SymMatrix:
-    """D(G) for kind 'distance', Q(G) for kind 'dsl', with exact integer rows."""
+def matrix_of_kind(g: Graph, kind: str) -> SymMatrix:
+    """D(G) for kind 'distance', Q(G) for kind 'dsl'."""
     if kind not in (KIND_DISTANCE, KIND_DSL):
         raise ValueError(f"unknown matrix kind {kind!r}; expected 'distance' or 'dsl'")
-    dd = dd or all_pairs_distances(g)
-    return SymMatrix(dd.dist if kind == KIND_DISTANCE else dsl_rows(g, dd))
+    dd = all_pairs_distances(g)
+    return SymMatrix(dd.dist if kind == KIND_DISTANCE else dsl_rows(dd))
 
 
 def spread(g: Graph, kind: str) -> SpreadReport:

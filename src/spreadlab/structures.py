@@ -1,7 +1,8 @@
 """Substructure enumeration: maximum cliques, diameter paths, cactus cycles.
 
-These are the witness sets indexing the parameterised spread bounds; each
-witness carries s_i, the sum of transmissions over its vertices.
+These are the witness sets indexing the parameterised spread bounds. Only
+diameter paths need distances, which the caller passes in; the bounds sum
+the transmissions over each witness themselves.
 """
 
 from __future__ import annotations
@@ -10,14 +11,14 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import AcyclicError, NotCactusError
-from .graph import DistanceData, Graph, all_pairs_distances
+from .graph import DistanceData, Graph, is_connected
 
 DIAMETER_PATH_CAP = 10000
 
 
 @dataclass(frozen=True)
 class WitnessSet:
-    """A family of substructures of one kind plus their transmission sums.
+    """A family of substructures of one kind.
 
     kind is "clique", "diameter_path" or "cycle"; parameter is omega, d or l.
     members are vertex lists (cliques sorted, paths end-to-end, cycles in
@@ -27,7 +28,6 @@ class WitnessSet:
     kind: str
     parameter: int
     members: tuple[tuple[int, ...], ...]
-    s_values: tuple[int, ...]
     truncated: bool = False
 
     def __len__(self) -> int:
@@ -59,17 +59,14 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def maximum_cliques(g: Graph, dd: DistanceData | None = None) -> WitnessSet:
+def maximum_cliques(g: Graph) -> WitnessSet:
     """All cliques of maximum order, each as a sorted vertex tuple."""
-    dd = dd or all_pairs_distances(g)
     cliques = maximal_cliques(g)
     omega = max((len(c) for c in cliques), default=0)
-    members = tuple(c for c in cliques if len(c) == omega)
     return WitnessSet(
         kind="clique",
         parameter=omega,
-        members=members,
-        s_values=tuple(sum(dd.trans[v] for v in c) for c in members),
+        members=tuple(c for c in cliques if len(c) == omega),
     )
 
 
@@ -93,12 +90,12 @@ def _geodesics(g: Graph, dd: DistanceData, u: int, v: int) -> Iterator[tuple[int
                 stack.append(path + (y,))
 
 
-def diameter_paths(g: Graph, dd: DistanceData | None = None, cap: int = DIAMETER_PATH_CAP) -> WitnessSet:
+def diameter_paths(g: Graph, dd: DistanceData, cap: int = DIAMETER_PATH_CAP) -> WitnessSet:
     """All paths whose length equals the diameter, each reported once with the
-    lexicographically smaller endpoint first; truncated at cap."""
+    lexicographically smaller endpoint first; truncated at cap. dd is the
+    graph's all_pairs_distances."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    dd = dd or all_pairs_distances(g)
     d = dd.diameter
     members: list[tuple[int, ...]] = []
     truncated = False
@@ -119,7 +116,6 @@ def diameter_paths(g: Graph, dd: DistanceData | None = None, cap: int = DIAMETER
         kind="diameter_path",
         parameter=d,
         members=tuple(members),
-        s_values=tuple(sum(dd.trans[v] for v in p) for p in members),
         truncated=truncated,
     )
 
@@ -198,6 +194,10 @@ def _cycle_order(block_edges: list[tuple[int, int]]) -> tuple[int, ...]:
 
 
 def is_cactus(g: Graph) -> bool:
+    """True for a connected graph whose blocks are edges or cycles, with at
+    least one cycle."""
+    if not is_connected(g):
+        return False
     try:
         cactus_longest_cycles(g)
     except (NotCactusError, AcyclicError):
@@ -205,14 +205,13 @@ def is_cactus(g: Graph) -> bool:
     return True
 
 
-def cactus_longest_cycles(g: Graph, dd: DistanceData | None = None) -> WitnessSet:
+def cactus_longest_cycles(g: Graph) -> WitnessSet:
     """Longest cycles of a cactus, via block decomposition.
 
     A block is a cycle exactly when its edge count equals its vertex count;
     a block with more edges is not allowed in a cactus. Raises AcyclicError
     when every block is an edge (the graph is a tree).
     """
-    dd = dd or all_pairs_distances(g)
     cycles: list[tuple[int, ...]] = []
     for block in biconnected_components(g):
         if len(block) == 1:
@@ -224,12 +223,10 @@ def cactus_longest_cycles(g: Graph, dd: DistanceData | None = None) -> WitnessSe
     if not cycles:
         raise AcyclicError("graph is a tree: no cycle, circumference undefined")
     length = max(len(c) for c in cycles)
-    members = tuple(sorted(c for c in cycles if len(c) == length))
     return WitnessSet(
         kind="cycle",
         parameter=length,
-        members=members,
-        s_values=tuple(sum(dd.trans[v] for v in c) for c in members),
+        members=tuple(sorted(c for c in cycles if len(c) == length)),
     )
 
 

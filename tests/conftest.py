@@ -1,11 +1,12 @@
 import math
 import random
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 import pytest
 
-from spreadlab import Graph, NumericError, is_connected
+from spreadlab import Graph, NumericError, QuotientMatrix, Spectrum, SymMatrix, eigenvalues_symmetric, is_connected
 
 JACOBI_TOL = 1e-12
 MAX_SWEEPS = 100
@@ -83,6 +84,42 @@ def eig2_real(b: Sequence[Sequence[float]]) -> tuple[float, float]:
         disc = 0.0
     root = math.sqrt(disc)
     return (tr + root) / 2.0, (tr - root) / 2.0
+
+
+def around(inside, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Two blocks of 0..n-1: the given vertex set sorted, then the rest."""
+    inside = tuple(sorted(inside))
+    return inside, tuple(v for v in range(n) if v not in inside)
+
+
+def reference_quotient(rows, blocks: Sequence[Sequence[int]]) -> QuotientMatrix:
+    """Average-row-sum quotient of a matrix over any number of blocks, in exact
+    Fractions, with the equitable flag.
+
+    The general t-block reference the engine's 2x2 quotients are checked
+    against. It sums every block row entry by entry, where the engine works
+    from the rows of one block and the row totals.
+    """
+    entries = []
+    equitable = True
+    for bi in blocks:
+        row_entries = []
+        for bj in blocks:
+            row_sums = [sum(rows[u][v] for v in bj) for u in bi]
+            row_entries.append(Fraction(sum(row_sums)) / len(bi))
+            equitable = equitable and len(set(row_sums)) == 1
+        entries.append(tuple(row_entries))
+    return QuotientMatrix(tuple(entries), tuple(len(b) for b in blocks), equitable)
+
+
+def quotient_eigenvalues(q: QuotientMatrix) -> Spectrum:
+    """Eigenvalues of a quotient of a symmetric matrix, through the symmetric
+    similarity diag(sqrt(n_i)) B diag(1/sqrt(n_i)); real whenever the source
+    matrix was symmetric."""
+    roots = [math.sqrt(s) for s in q.block_sizes]
+    return eigenvalues_symmetric(SymMatrix([
+        [float(x) * roots[i] / roots[j] for j, x in enumerate(row)] for i, row in enumerate(q.entries)
+    ]))
 
 
 def _off_norm(a: np.ndarray) -> float:

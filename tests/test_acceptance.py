@@ -37,10 +37,10 @@ from spreadlab import (
     star,
 )
 from spreadlab.linalg import SymMatrix, eigenvalues_symmetric
-from spreadlab.quotient import Partition, interlaces, quotient
+from spreadlab.quotient import interlaces
 from spreadlab.spectral import KIND_DISTANCE, KIND_DSL
 
-from .conftest import eig2_real, random_cactus, random_connected_graph
+from .conftest import around, eig2_real, quotient_eigenvalues, random_cactus, random_connected_graph, reference_quotient
 from .test_linalg import random_symmetric
 
 TOL_4DP = 5e-4
@@ -200,8 +200,8 @@ def test_criterion_09_property_suites():
     for _ in range(200):
         n = rng.randint(3, 9)
         m = SymMatrix(random_symmetric(rng, n).tolist())
-        p = Partition.around(rng.sample(range(n), rng.randint(1, n - 1)), n)
-        ok = ok and bool(interlaces(eigenvalues_symmetric(m), quotient(m, p).eigenvalues()))
+        q = reference_quotient(m.array, around(rng.sample(range(n), rng.randint(1, n - 1)), n))
+        ok = ok and bool(interlaces(eigenvalues_symmetric(m), quotient_eigenvalues(q)))
 
     # quotient consistency on every witness of the showcase graphs
     for r in (
@@ -213,7 +213,7 @@ def test_criterion_09_property_suites():
         bound_cactus(builtin("G4")),
     ):
         for w in r.witnesses:
-            hi, lo = eig2_real(w.quotient.as_floats())
+            hi, lo = eig2_real(w.quotient.entries)
             ok = ok and within(w.lam1, hi, TOL) and within(w.lam2, lo, TOL)
             ok = ok and within(w.bound_value, hi - lo, TOL)
     report("criterion 9: soundness, interlacing and quotient-consistency suites", ok)

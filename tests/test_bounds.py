@@ -10,7 +10,6 @@ from spreadlab import (
     KIND_DSL,
     NotBipartiteError,
     NotCactusError,
-    Partition,
     SpreadlabError,
     all_pairs_distances,
     bound_bipartite_distance,
@@ -19,21 +18,23 @@ from spreadlab import (
     bound_clique,
     bound_diameter,
     builtin,
+    cactus_longest_cycles,
     complete,
     complete_bipartite,
     cycle,
     enumerate_connected_bipartite,
+    is_cactus,
     kite,
     legacy_2012_counterexample,
+    maximum_cliques,
     path,
-    quotient,
     spread,
     star,
 )
 from spreadlab.bounds import _witnesses
-from spreadlab.spectral import dsl_rows, matrix_of_kind
+from spreadlab.spectral import dsl_rows
 
-from .conftest import eig2_real, random_cactus, random_connected_graph
+from .conftest import around, eig2_real, random_cactus, random_connected_graph, reference_quotient
 
 TOL = 1e-8
 
@@ -42,7 +43,7 @@ def check_witness_quotient_consistency(report):
     """The closed-form eigenvalue pair of every witness must match the
     eigenvalues of its exact 2x2 quotient."""
     for w in report.witnesses:
-        hi, lo = eig2_real(w.quotient.as_floats())
+        hi, lo = eig2_real(w.quotient.entries)
         assert w.lam1 == pytest.approx(hi, abs=TOL)
         assert w.lam2 == pytest.approx(lo, abs=TOL)
         assert w.bound_value == pytest.approx(hi - lo, abs=TOL)
@@ -278,6 +279,17 @@ def test_legacy_disagrees_on_every_small_bipartite_graph():
                     break
 
 
+def test_legacy_b2_is_the_bipartite_distance_witness_quotient():
+    # B2 and the bound's witness at v come from one quotient routine
+    for n in range(4, 8):
+        for g in enumerate_connected_bipartite(n):
+            if g.max_degree() > n - 2:
+                continue
+            for w in bound_bipartite_distance(g).witnesses:
+                v = w.vertices[0]
+                assert legacy_2012_counterexample(g, v).b2 == w.quotient
+
+
 def test_legacy_vertex_validation():
     with pytest.raises(SpreadlabError, match="degree"):
         legacy_2012_counterexample(builtin("G1"), 3)  # v4 has degree 1
@@ -301,9 +313,10 @@ def witness_set(g, report, w):
 
 
 def assert_quotients_match_general(g, report, kind):
-    rows = all_pairs_distances(g).dist if kind == KIND_DISTANCE else dsl_rows(g)
+    dd = all_pairs_distances(g)
+    rows = dd.dist if kind == KIND_DISTANCE else dsl_rows(dd)
     for w in report.witnesses:
-        assert w.quotient == quotient(rows, Partition.around(witness_set(g, report, w), g.n))
+        assert w.quotient == reference_quotient(rows, around(witness_set(g, report, w), g.n))
 
 
 def test_engine_quotients_match_general_quotient_bipartite():
@@ -339,7 +352,8 @@ def test_each_bound_runs_one_distance_analysis(monkeypatch):
         return real(g)
 
     for module in (spreadlab.graph, spreadlab.spectral, spreadlab.structures, spreadlab.bounds):
-        monkeypatch.setattr(module, "all_pairs_distances", counting)
+        if hasattr(module, "all_pairs_distances"):
+            monkeypatch.setattr(module, "all_pairs_distances", counting)
     cases = [
         (bound_bipartite_distance, builtin("G1")),
         (bound_bipartite_dsl, builtin("G2")),
@@ -351,16 +365,24 @@ def test_each_bound_runs_one_distance_analysis(monkeypatch):
         calls.clear()
         assert fn(g).witnesses
         assert len(calls) == 1, fn.__name__
+    calls.clear()
+    assert not legacy_2012_counterexample(builtin("G1"), 0).equal
+    assert len(calls) == 1
+    # witness enumeration alone needs no distances
+    calls.clear()
+    for fn, g in ((is_cactus, builtin("G4")), (maximum_cliques, kite(5, 3)), (cactus_longest_cycles, builtin("G4"))):
+        assert fn(g)
+        assert calls == [], fn.__name__
 
 
 def test_engine_rejects_perturbed_coefficients():
     g = builtin("G1")
-    m = matrix_of_kind(g, KIND_DSL)
+    rows = dsl_rows(all_pairs_distances(g))
     w = bound_diameter(g).witnesses[0]
     item = (w.label, w.vertices, w.vertices, w.s_or_t, w.a, w.b)
-    assert _witnesses(m, 3, (-1, 1), [item]) == [w]
+    assert _witnesses(rows, 3, (-1, 1), [item]) == [w]
     for a, b in ((w.a + 1, w.b), (w.a, w.b - 1)):
         with pytest.raises(SpreadlabError, match="disagree"):
-            _witnesses(m, 3, (-1, 1), [item[:4] + (a, b)])
+            _witnesses(rows, 3, (-1, 1), [item[:4] + (a, b)])
     with pytest.raises(SpreadlabError, match="disagree"):
-        _witnesses(m, 3, (1, 1), [item])  # a sign flipped
+        _witnesses(rows, 3, (1, 1), [item])  # a sign flipped

@@ -7,7 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spreadlab import Graph, builtin, spread
-from spreadlab.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SCHEMA_VERSION, main
+from spreadlab.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SCHEMA_VERSION, build_parser, main
+from spreadlab.search import DEFAULT_CHUNK
 
 
 def run(capsys, *argv):
@@ -196,6 +197,11 @@ def test_conjecture_cli_range_error(capsys):
 def test_conjecture_cli_rejects_chunk_size_zero(capsys):
     code, _, err = run(capsys, "conjecture", "--n", "4", "--chunk-size", "0")
     assert code == EXIT_DOMAIN and "chunk size" in err
+
+
+def test_conjecture_cli_chunk_size_defaults_to_api_default():
+    # the CLI and check_conjecture chunk alike, so their checkpoints resume each other
+    assert build_parser().parse_args(["conjecture", "--n", "6"]).chunk_size == DEFAULT_CHUNK
 
 
 def test_conjecture_cli_rejects_threads_below_one(capsys):

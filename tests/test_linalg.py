@@ -25,36 +25,23 @@ def test_symmatrix_validation():
         SymMatrix([[0, 1], [5, 0]])
 
 
-def test_symmatrix_exact_backing():
-    m = SymMatrix([[0, 1], [1, 0]])
-    assert m.rows_exact == ((0, 1), (1, 0))
-    m = SymMatrix([[0.0, 1.5], [1.5, 0.0]])
-    assert m.rows_exact is None
-
-
 BIG = 2 ** 70
 
 
-@pytest.mark.parametrize("rows, exact", [
-    ([[0, 1], [1, 0]], True),                                      # ints
-    (((0, 2), (2, 5)), True),                                      # tuples of ints
-    ([[False, True], [True, False]], True),                        # bools
-    (np.array([[0, 3], [3, 1]], dtype=np.int64), True),            # numpy ints
-    (np.array([[0, 3], [3, 1]], dtype=np.uint8), True),            # numpy unsigned ints
-    ([[0.0, 1.5], [1.5, 0.0]], False),                             # floats
-    ([[0, 1.5], [1.5, 0]], False),                                 # mixed int/float
-    ([[Fraction(1, 2), 1], [1, Fraction(3)]], True),               # Fractions and ints
-    ([[Fraction(1, 2), 1.0], [1.0, 0]], False),                    # Fraction and float
-    ([[0, BIG], [BIG, 1]], True),                                  # ints beyond int64
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [1, 0]],                                      # ints
+    ((0, 2), (2, 5)),                                      # tuples of ints
+    [[False, True], [True, False]],                        # bools
+    np.array([[0, 3], [3, 1]], dtype=np.int64),            # numpy ints
+    np.array([[0, 3], [3, 1]], dtype=np.uint8),            # numpy unsigned ints
+    [[0.0, 1.5], [1.5, 0.0]],                              # floats
+    [[0, 1.5], [1.5, 0]],                                  # mixed int/float
+    [[Fraction(1, 2), 1], [1, Fraction(3)]],               # Fractions and ints
+    [[Fraction(1, 2), 1.0], [1.0, 0]],                     # Fraction and float
+    [[0, BIG], [BIG, 1]],                                  # ints beyond int64
 ])
-def test_symmatrix_exactness_by_input_kind(rows, exact):
-    m = SymMatrix(rows)
-    if exact:
-        assert m.rows_exact == tuple(tuple(row) for row in rows)
-        assert all(type(x) is type(y) for r, row in zip(m.rows_exact, rows) for x, y in zip(r, row))
-    else:
-        assert m.rows_exact is None
-    assert m.array.tolist() == [[float(x) for x in row] for row in rows]
+def test_symmatrix_array_by_input_kind(rows):
+    assert SymMatrix(rows).array.tolist() == [[float(x) for x in row] for row in rows]
 
 
 def test_symmatrix_ragged_rejected():

@@ -7,7 +7,6 @@ import pytest
 
 from spreadlab import (
     InterlacingResult,
-    Partition,
     QuotientMatrix,
     Spectrum,
     SymMatrix,
@@ -16,39 +15,26 @@ from spreadlab import (
     complete_bipartite,
     eigenvalues_symmetric,
     interlaces,
-    quotient,
+    legacy_2012_counterexample,
     spread,
 )
 from spreadlab.spectral import KIND_DSL, dsl_rows
 
-from .conftest import random_connected_graph
+from .conftest import around, quotient_eigenvalues, random_connected_graph, reference_quotient
 from .test_linalg import random_symmetric
 
 
-def test_partition_validation():
-    with pytest.raises(ValueError, match="empty"):
-        Partition(((0, 1), ()))
-    with pytest.raises(ValueError, match="two blocks"):
-        Partition(((0, 1), (1, 2)))
-    with pytest.raises(ValueError, match="cover"):
-        Partition(((0, 2),))
-    p = Partition.around([1, 3], 5)
-    assert p.blocks == ((1, 3), (0, 2, 4))
-    assert p.sizes == (2, 3) and p.n == 5 and p.t == 2
-
-
 def test_quotient_exact_rationals_on_showcase_graph():
-    # the 2x2 distance quotient around the closed neighbourhood of v1
+    # the 2x2 distance quotient around the closed neighbourhood of v1, from
+    # the reference and from the engine (as the legacy refutation's B2)
     g = builtin("G1")
-    rows = all_pairs_distances(g).dist
-    p = Partition.around([0, 1, 2, 3], 7)
-    q = quotient(rows, p)
+    q = reference_quotient(all_pairs_distances(g).dist, around([0, 1, 2, 3], 7))
     assert q.entries == (
         (Fraction(9, 2), Fraction(25, 4)),
         (Fraction(25, 3), Fraction(16, 3)),
     )
     assert not q.equitable
-    assert q.as_floats()[0][0] == 4.5
+    assert legacy_2012_counterexample(g, 0).b2 == q
 
 
 def test_quotient_row_sums_preserved(rng):
@@ -57,9 +43,9 @@ def test_quotient_row_sums_preserved(rng):
         g = random_connected_graph(rng, rng.randint(3, 8))
         rows = all_pairs_distances(g).dist
         k = rng.randint(1, g.n - 1)
-        p = Partition.around(rng.sample(range(g.n), k), g.n)
-        q = quotient(rows, p)
-        for bi, row in zip(p.blocks, q.entries):
+        blocks = around(rng.sample(range(g.n), k), g.n)
+        q = reference_quotient(rows, blocks)
+        for bi, row in zip(blocks, q.entries):
             want = Fraction(sum(sum(rows[u]) for u in bi), len(bi))
             assert sum(row) == want
 
@@ -67,27 +53,21 @@ def test_quotient_row_sums_preserved(rng):
 def test_quotient_equitable_flag():
     # K_{2,2} with the bipartition blocks is an equitable partition of D
     g = complete_bipartite(2, 2)
-    q = quotient(all_pairs_distances(g).dist, Partition.of([0, 1], [2, 3]))
+    q = reference_quotient(all_pairs_distances(g).dist, ([0, 1], [2, 3]))
     assert q.equitable
-    ev = sorted(q.eigenvalues().values)
+    ev = sorted(quotient_eigenvalues(q).values)
     # equitable quotient eigenvalues are a subset of the spectrum {4, 0, -2, -2}
     assert ev == pytest.approx([0.0, 4.0], abs=1e-9)
-
-
-def test_quotient_size_mismatch():
-    with pytest.raises(ValueError, match="order"):
-        quotient(all_pairs_distances(builtin("G1")).dist, Partition.around([0], 5))
 
 
 def test_quotient_eigenvalues_match_numpy(rng):
     for _ in range(20):
         g = random_connected_graph(rng, rng.randint(3, 9))
-        rows = dsl_rows(g)
+        rows = dsl_rows(all_pairs_distances(g))
         k = rng.randint(1, g.n - 1)
-        p = Partition.around(rng.sample(range(g.n), k), g.n)
-        q = quotient(rows, p)
-        ref = sorted(np.linalg.eigvals(np.array(q.as_floats())).real)
-        mine = sorted(q.eigenvalues().values)
+        q = reference_quotient(rows, around(rng.sample(range(g.n), k), g.n))
+        ref = sorted(np.linalg.eigvals(np.array(q.entries, dtype=float)).real)
+        mine = sorted(quotient_eigenvalues(q).values)
         for x, y in zip(mine, ref):
             assert abs(x - y) < 1e-8
 
@@ -113,9 +93,8 @@ def test_quotient_interlacing_randomized(rng):
         a = random_symmetric(rng, n)
         m = SymMatrix(a.tolist())
         k = rng.randint(1, n - 1)
-        p = Partition.around(rng.sample(range(n), k), n)
         outer = eigenvalues_symmetric(m)
-        inner = quotient(m, p).eigenvalues()
+        inner = quotient_eigenvalues(reference_quotient(m.array, around(rng.sample(range(n), k), n)))
         assert interlaces(outer, inner)
     for _ in range(100):
         n = rng.randint(3, 9)
@@ -151,7 +130,7 @@ def block_spectrum(blocks: Sequence[tuple[float, float, int]], off: Sequence[Seq
         for i in range(t)
     )
     q = QuotientMatrix(entries=entries, block_sizes=tuple(sizes), equitable=True)
-    values = list(q.eigenvalues().values)
+    values = list(quotient_eigenvalues(q).values)
     for (_, p_i, n_i) in blocks:
         values.extend([float(p_i)] * (n_i - 1))
     return Spectrum.from_values(values)

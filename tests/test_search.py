@@ -36,48 +36,44 @@ from spreadlab.spectral import KIND_DSL, spread
 
 
 def oracle_bipartite_class_count(n: int) -> int:
-    """Enumerate all labelled graphs on n vertices with numpy-backed
-    connectivity/bipartiteness checks and bucket them by a permutation-orbit
-    canonical form. Only feasible for n <= 6."""
+    """Count connected bipartite graphs on n vertices up to isomorphism by
+    brute force. Every labelled graph is an edge mask over the n(n-1)/2 vertex
+    pairs. Connectivity and 2-colourability are decided on all masks at once
+    with vertex-bitmask BFS frontiers from vertex 0, and each surviving graph is
+    keyed by its minimum over all n! relabellings, one numpy pass per
+    permutation. Only feasible for n <= 6."""
     pairs = list(itertools.combinations(range(n), 2))
-    perms = list(itertools.permutations(range(n)))
-    canon_seen = set()
-    count = 0
-    for mask in range(1 << len(pairs)):
-        adj = np.zeros((n, n), dtype=int)
-        for i, (u, v) in enumerate(pairs):
-            if (mask >> i) & 1:
-                adj[u, v] = adj[v, u] = 1
-        # connectivity via boolean matrix powers
-        reach = np.eye(n, dtype=bool) | adj.astype(bool)
-        for _ in range(n):
-            reach = reach | (reach @ reach)
-        if not reach.all():
-            continue
-        # bipartite iff no odd closed walk: check via 2-colouring over powers
-        color = [-1] * n
-        color[0] = 0
-        stack = [0]
-        ok = True
-        while stack and ok:
-            x = stack.pop()
-            for y in range(n):
-                if adj[x, y]:
-                    if color[y] < 0:
-                        color[y] = 1 - color[x]
-                        stack.append(y)
-                    elif color[y] == color[x]:
-                        ok = False
-                        break
-        if not ok:
-            continue
-        canon = min(
-            tuple(adj[p, :][:, p].flatten()) for p in (np.array(q) for q in perms)
-        )
-        if canon not in canon_seen:
-            canon_seen.add(canon)
-            count += 1
-    return count
+    index = {pair: i for i, pair in enumerate(pairs)}
+    masks = np.arange(1 << len(pairs), dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(len(pairs))) & 1
+    # nbr[v]: the neighbours of v as a vertex bitmask, one per edge mask
+    nbr = [sum(bits[:, index[min(u, v), max(u, v)]] << u for u in range(n) if u != v) for v in range(n)]
+
+    def neighbours(vertex_sets):
+        out = np.zeros_like(masks)
+        for v in range(n):
+            out |= np.where((vertex_sets >> v) & 1, nbr[v], 0)
+        return out
+
+    seen = frontier = np.ones_like(masks)
+    sides = [frontier, np.zeros_like(masks)]  # vertices at even and odd BFS depth
+    for depth in range(1, n):
+        frontier = neighbours(frontier) & ~seen
+        seen = seen | frontier
+        sides[depth % 2] = sides[depth % 2] | frontier
+    connected = seen == (1 << n) - 1
+    # a connected graph is 2-colourable iff no edge joins two vertices of one depth parity
+    clash = np.zeros(len(masks), dtype=bool)
+    for side in sides:
+        clash |= (neighbours(side) & side) != 0
+    kept = bits[connected & ~clash]
+    orbit_min = None
+    for perm in itertools.permutations(range(n)):
+        weights = np.array([1 << index[min(perm[u], perm[v]), max(perm[u], perm[v])] for u, v in pairs],
+                           dtype=np.int64)
+        relabelled = kept @ weights
+        orbit_min = relabelled if orbit_min is None else np.minimum(orbit_min, relabelled)
+    return len(np.unique(orbit_min))
 
 
 # ---------------------------------------------------------------------------

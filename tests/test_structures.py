@@ -8,9 +8,12 @@ from spreadlab import (
     Graph,
     NotCactusError,
     NotConnectedError,
+    all_pairs_distances,
+    bound_bipartite_distance,
+    bound_bipartite_dsl,
     bound_cactus,
     bound_clique,
-    all_pairs_distances,
+    bound_diameter,
     builtin,
     cactus_longest_cycles,
     complete,
@@ -20,6 +23,7 @@ from spreadlab import (
     diameter_paths,
     is_cactus,
     kite,
+    legacy_2012_counterexample,
     maximum_cliques,
     path,
     path_internal_sum,
@@ -75,8 +79,6 @@ def test_maximum_cliques_against_brute_force(rng):
         omega, want = brute_force_max_cliques(g)
         assert ws.parameter == omega
         assert sorted(ws.members) == want
-        dd = all_pairs_distances(g)
-        assert ws.s_values == tuple(sum(dd.trans[v] for v in c) for c in ws.members)
 
 
 def test_maximal_cliques_triangle_free():
@@ -104,7 +106,7 @@ def test_clique_members_are_cliques(rng):
 def test_diameter_paths_against_dfs_oracle(rng):
     for _ in range(25):
         g = random_connected_graph(rng, rng.randint(2, 9), extra_edge_prob=0.15)
-        ws = diameter_paths(g)
+        ws = diameter_paths(g, all_pairs_distances(g))
         assert sorted(ws.members) == brute_force_diameter_paths(g)
         assert not ws.truncated
 
@@ -122,17 +124,20 @@ def test_diameter_paths_are_geodesics(rng):
 
 
 def test_diameter_paths_known():
-    ws = diameter_paths(builtin("G1"))
+    g = builtin("G1")
+    ws = diameter_paths(g, all_pairs_distances(g))
     assert ws.parameter == 4
     assert ws.members == ((4, 1, 0, 2, 6), (4, 1, 5, 2, 6))
-    assert ws.s_values == (59, 61)  # transmissions (9,10,10,14,15,11,15)
+    # the bound's s_i per path, from transmissions (9,10,10,14,15,11,15)
+    assert [w.s_or_t for w in bound_diameter(g).witnesses] == [59, 61]
 
 
 def test_diameter_paths_cap():
-    ws = diameter_paths(complete_bipartite(4, 4), cap=3)
+    g = complete_bipartite(4, 4)
+    ws = diameter_paths(g, all_pairs_distances(g), cap=3)
     assert ws.truncated and len(ws.members) == 3
     with pytest.raises(ValueError):
-        diameter_paths(path(4), cap=0)
+        diameter_paths(path(4), all_pairs_distances(path(4)), cap=0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +166,11 @@ def test_cactus_cycles_known():
     ws = cactus_longest_cycles(builtin("G3"))
     assert ws.parameter == 4
     assert ws.members == ((0, 1, 2, 3),)
-    assert ws.s_values == (32,)
+    assert [w.s_or_t for w in bound_cactus(builtin("G3")).witnesses] == [32]
     ws = cactus_longest_cycles(builtin("G4"))
     assert ws.parameter == 5
     assert ws.members == ((0, 1, 2, 3, 4),)
-    assert ws.s_values == (52,)
+    assert [w.s_or_t for w in bound_cactus(builtin("G4")).witnesses] == [52]
 
 
 def test_cactus_cycle_members_are_cycles(rng):
@@ -244,11 +249,11 @@ def test_diameter_paths_cap_stops_early_on_grid():
     edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
     edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
     g = Graph(side * side, edges)
-    ws = diameter_paths(g, cap=10)
+    dd = all_pairs_distances(g)
+    ws = diameter_paths(g, dd, cap=10)
     assert ws.truncated and len(ws.members) == 10
     assert list(ws.members) == sorted(ws.members) and len(set(ws.members)) == 10
     assert ws.members[0] == tuple(range(side)) + tuple(side - 1 + side * r for r in range(1, side))
-    dd = all_pairs_distances(g)
     for p in ws.members:
         assert p[0] == 0 and p[-1] == side * side - 1 and len(p) == 2 * (side - 1) + 1
         assert all(y in g.adjacency[x] for x, y in zip(p, p[1:]))
@@ -258,12 +263,16 @@ def test_diameter_paths_cap_stops_early_on_grid():
 # connectivity
 
 
-def test_witness_sets_refuse_disconnected_graphs_with_first_unreachable_pair():
+def test_bounds_refuse_disconnected_graphs_with_first_unreachable_pair():
     g = Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (5, 6)])
-    for fn in (maximum_cliques, cactus_longest_cycles, diameter_paths):
+    bounds = (bound_bipartite_distance, bound_bipartite_dsl, bound_clique, bound_diameter, bound_cactus)
+    for fn in bounds + (lambda h: legacy_2012_counterexample(h, 0),):
         with pytest.raises(NotConnectedError) as exc:
             fn(g)
         assert (exc.value.u, exc.value.v) == (0, 3), fn.__name__
+    # a cactus is connected; the witness sets themselves need no connectivity
+    assert not is_cactus(g)
+    assert len(maximum_cliques(g)) == len(cactus_longest_cycles(g)) == 2
 
 
 def test_clique_and_cactus_bounds_sweep_connectivity_once(monkeypatch):
