@@ -15,12 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
+
+import numpy as np
 
 from .errors import DegenerateBoundError, SpreadlabError
 from .graph import Graph, all_pairs_distances, average_distance_degree, bipartition
 from .linalg import SymMatrix
 from .quotient import QuotientMatrix
-from .spectral import KIND_DISTANCE, KIND_DSL, closed_form_spread, dsl_rows, matrix_spread
+from .spectral import KIND_DISTANCE, KIND_DSL, closed_form_spread, distance_matrix, matrix_spread
 from .structures import DIAMETER_PATH_CAP, cactus_longest_cycles, diameter_paths, maximum_cliques
 
 METHOD_BIPARTITE_DISTANCE = "bipartite_distance"
@@ -29,6 +32,10 @@ METHOD_CLIQUE = "clique"
 METHOD_DIAMETER = "diameter"
 METHOD_CACTUS = "cactus"
 METHOD_LEGACY = "legacy_2012"
+
+# Matrix entries one numpy gather of witness rows may hold (8 MB of int64),
+# so a bound's memory stays flat in its witness count.
+GATHER_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -80,57 +87,77 @@ def _report(method, pname, param, true_report, witnesses=(), closed_value=None, 
 
 
 def _analyse(g: Graph, kind: str):
-    """The one analysis behind a bound: distances, the integer rows of D(G)
-    or Q(G), and its spread."""
+    """The one analysis behind a bound: distances, D(G) or Q(G) as a
+    read-only int64 array, and its spread."""
     dd = all_pairs_distances(g)
-    rows = dd.dist if kind == KIND_DISTANCE else dsl_rows(dd)
-    return dd, rows, matrix_spread(SymMatrix(rows), kind)
+    x = distance_matrix(dd, kind)
+    return dd, x, matrix_spread(SymMatrix(x), kind)
 
 
-def _quotient(rows, row_sums: list[int], total: int, inside) -> tuple[QuotientMatrix, int, int, int]:
-    """Exact 2x2 quotient of a symmetric integer matrix around a vertex set.
+def _constant(a: np.ndarray) -> np.ndarray:
+    """Per row of a 2-D array, whether all its entries are equal."""
+    return (a == a[:, :1]).all(axis=1)
 
-    rows are the matrix's rows, row_sums their sums and total the sum of all
-    entries; inside is the sorted vertex set S, and the partition is
-    {S, V\\S}. Returns the quotient and its integer block sums X11 over S x S,
-    X12 over S x V\\S and X22 over V\\S x V\\S: with R the row sums over S,
-    X12 = R - X11 and X22 = total - 2R + X11.
+
+def _quotients(x: np.ndarray, sets) -> Iterator[tuple[QuotientMatrix, int, int, int]]:
+    """Exact 2x2 quotients of a symmetric int64 matrix around vertex sets.
+
+    sets are vertex sets S without repeats, all of one size k < n, and each
+    partition is {S, V\\S}. Yields, per set in order, the quotient and its integer block
+    sums X11 over S x S, X12 over S x V\\S and X22 over V\\S x V\\S. The sets
+    are gathered in blocks of at most GATHER_ENTRIES matrix entries: each
+    block sums its sets' rows into `into` (row u of S summed into column u,
+    as x is symmetric), so X11 is into summed over S and, with R the row sums
+    over S, X12 = R - X11 and X22 = total - 2R + X11.
+
+    The sums are exact in int64: none exceeds the sum of all entries of Q(G),
+    2 * sum(trans) <= 2n^3, far below 2^63 for n <= MAX_VERTICES. They leave
+    as Python ints.
     """
-    into = [sum(col) for col in zip(*(rows[v] for v in inside))]  # rows are symmetric
-    members = set(inside)
-    outside = [u for u in range(len(rows)) if u not in members]
-    k, k_out = len(inside), len(outside)
-    x11 = sum(into[u] for u in inside)
-    r = sum(row_sums[u] for u in inside)
-    x12, x22 = r - x11, total - 2 * r + x11
-    equitable = all(
-        len({into[u] for u in block}) == 1 and len({row_sums[u] - into[u] for u in block}) == 1
-        for block in (inside, outside)
-    )
-    q = QuotientMatrix(
-        entries=((Fraction(x11, k), Fraction(x12, k)), (Fraction(x12, k_out), Fraction(x22, k_out))),
-        block_sizes=(k, k_out),
-        equitable=equitable,
-    )
-    return q, x11, x12, x22
+    n = len(x)
+    k = len(sets[0])
+    row_sums = x.sum(axis=1)
+    total = int(row_sums.sum())
+    step = max(1, GATHER_ENTRIES // (k * n))
+    for lo in range(0, len(sets), step):
+        inside = np.array(sets[lo:lo + step], dtype=np.intp)
+        w = len(inside)
+        into = x[inside].sum(axis=1)
+        member = np.zeros((w, n), dtype=bool)
+        member[np.arange(w)[:, None], inside] = True
+        outside = np.nonzero(~member)[1].reshape(w, n - k)
+        into_in = np.take_along_axis(into, inside, axis=1)
+        into_out = np.take_along_axis(into, outside, axis=1)
+        r = row_sums[inside].sum(axis=1)
+        # equitable: the sums into each block are constant on S and on V\S
+        equitable = (_constant(into_in) & _constant(row_sums[inside] - into_in)
+                     & _constant(into_out) & _constant(row_sums[outside] - into_out))
+        for x11, r_s, eq in zip(into_in.sum(axis=1).tolist(), r.tolist(), equitable.tolist()):
+            x12, x22 = r_s - x11, total - 2 * r_s + x11
+            q = QuotientMatrix(
+                entries=((Fraction(x11, k), Fraction(x12, k)),
+                         (Fraction(x12, n - k), Fraction(x22, n - k))),
+                block_sizes=(k, n - k),
+                equitable=eq,
+            )
+            yield q, x11, x12, x22
 
 
-def _witnesses(rows, c: int, signs: tuple[int, int], items) -> list[Witness]:
-    """Evaluate every witness of a bound on the integer matrix rows.
+def _witnesses(x: np.ndarray, c: int, signs: tuple[int, int], items) -> list[Witness]:
+    """Evaluate every witness of a bound on the int64 matrix x.
 
     Each item is (label, vertices, S, s_or_t, a, b), where S is the vertex
     set the partition {S, V\\S} is taken around and (a, b) are the paper's
-    coefficients. With C = c|S||V\\S| and the block sums of _quotient, the
-    paper's closed form says C*trace = signs[0]*a and C*det = signs[1]*b; any
-    mismatch raises. The eigenvalue pair is (A +- sqrt(A^2 - 4CB)) / 2C for
-    A = C*trace, B = C*det, and the bound is its gap.
+    coefficients; every S of one bound has the same size. With C = c|S||V\\S|
+    and the block sums of _quotients, the paper's closed form says
+    C*trace = signs[0]*a and C*det = signs[1]*b; any mismatch raises. The
+    eigenvalue pair is (A +- sqrt(A^2 - 4CB)) / 2C for A = C*trace,
+    B = C*det, and the bound is its gap.
     """
-    n = len(rows)
-    row_sums = [sum(row) for row in rows]
-    total = sum(row_sums)
+    n = len(x)
     out = []
-    for label, vertices, inside, s_or_t, a, b in items:
-        q, x11, x12, x22 = _quotient(rows, row_sums, total, inside)
+    quotients = _quotients(x, [item[2] for item in items])
+    for (label, vertices, inside, s_or_t, a, b), (q, x11, x12, x22) in zip(items, quotients):
         k = len(inside)
         k_out = n - k
         C = c * k * k_out
@@ -155,10 +182,12 @@ def _witnesses(rows, c: int, signs: tuple[int, int], items) -> list[Witness]:
     return out
 
 
-def _with_trans_sums(witness_set, dd):
-    """Each member of a witness set with s, the sum of its vertices'
-    transmissions."""
-    return [(member, sum(dd.trans[v] for v in member)) for member in witness_set.members]
+def _members(witness_set, dd, n: int):
+    """Each member of a witness set with its vertex names and s, the sum of
+    its vertices' transmissions."""
+    names = [f"v{v + 1}" for v in range(n)]
+    return [(member, list(map(names.__getitem__, member)), sum(map(dd.trans.__getitem__, member)))
+            for member in witness_set.members]
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +196,13 @@ def _with_trans_sums(witness_set, dd):
 
 def _bipartite_bound(g: Graph, kind: str) -> BoundReport:
     bipartition(g)
-    dd, rows, true_report = _analyse(g, kind)
+    dd, x, true_report = _analyse(g, kind)
     n = g.n
     delta = g.max_degree()
     method = METHOD_BIPARTITE_DISTANCE if kind == KIND_DISTANCE else METHOD_BIPARTITE_DSL
-    if n <= 1 or delta == n - 1:
+    if n == 1 or delta == n - 1:
         # nothing to bound, or bipartite with a universal vertex: the star; exact closed forms
-        value = 0.0 if n <= 1 else closed_form_spread("star_distance" if kind == KIND_DISTANCE else "deltamax_dsl", n)
+        value = 0.0 if n == 1 else closed_form_spread("star_distance" if kind == KIND_DISTANCE else "deltamax_dsl", n)
         return _report(method, "max_degree", delta, true_report, closed_value=value)
 
     S = sum(dd.trans)
@@ -193,7 +222,7 @@ def _bipartite_bound(g: Graph, kind: str) -> BoundReport:
             b = (4 * d_v * d_v + 8 * d_v * t_delta + 4 * t_delta * t_delta
                  - 8 * W * delta * delta - 4 * W * d_v - 4 * W * t_delta)
         items.append((f"v{v + 1}", (v,), sorted({v, *g.adjacency[v]}), t_v, a, b))
-    return _report(method, "max_degree", delta, true_report, _witnesses(rows, 1, (1, -1), items))
+    return _report(method, "max_degree", delta, true_report, _witnesses(x, 1, (1, -1), items))
 
 
 def bound_bipartite_distance(g: Graph) -> BoundReport:
@@ -213,7 +242,7 @@ def bound_bipartite_dsl(g: Graph) -> BoundReport:
 
 def bound_clique(g: Graph) -> BoundReport:
     """DSL-spread lower bound indexed by the maximum cliques."""
-    dd, rows, true_report = _analyse(g, KIND_DSL)
+    dd, x, true_report = _analyse(g, KIND_DSL)
     n = g.n
     cliques = maximum_cliques(g)
     omega = cliques.parameter
@@ -224,12 +253,12 @@ def bound_clique(g: Graph) -> BoundReport:
                        closed_value=closed_form_spread("complete_dsl", n))
     W = dd.wiener
     items = [
-        ("{" + ",".join(f"v{v + 1}" for v in member) + "}", member, member, Fraction(s),
+        ("{" + ",".join(names) + "}", member, member, Fraction(s),
          n * omega * (1 - omega) + 4 * omega * (s - W) - n * s,
          4 * W * omega * (omega - 1) + 4 * s * (W - s))
-        for member, s in _with_trans_sums(cliques, dd)
+        for member, names, s in _members(cliques, dd, n)
     ]
-    return _report(METHOD_CLIQUE, "clique_number", omega, true_report, _witnesses(rows, 1, (-1, 1), items))
+    return _report(METHOD_CLIQUE, "clique_number", omega, true_report, _witnesses(x, 1, (-1, 1), items))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +267,7 @@ def bound_clique(g: Graph) -> BoundReport:
 
 def bound_diameter(g: Graph, cap: int = DIAMETER_PATH_CAP) -> BoundReport:
     """DSL-spread lower bound indexed by the diameter paths."""
-    dd, rows, true_report = _analyse(g, KIND_DSL)
+    dd, x, true_report = _analyse(g, KIND_DSL)
     n = g.n
     d = dd.diameter
     if d == 1:
@@ -250,12 +279,12 @@ def bound_diameter(g: Graph, cap: int = DIAMETER_PATH_CAP) -> BoundReport:
     paths = diameter_paths(g, dd, cap=cap)
     W = dd.wiener
     items = [
-        ("-".join(f"v{v + 1}" for v in member), member, member, Fraction(s),
+        ("-".join(names), member, member, Fraction(s),
          12 * (1 + d) * (s - W) - n * d * (d + 1) * (d + 2) - 3 * n * s,
          4 * d * (d + 1) * (d + 2) * W + 12 * s * (W - s))
-        for member, s in _with_trans_sums(paths, dd)
+        for member, names, s in _members(paths, dd, n)
     ]
-    return _report(METHOD_DIAMETER, "diameter", d, true_report, _witnesses(rows, 3, (-1, 1), items),
+    return _report(METHOD_DIAMETER, "diameter", d, true_report, _witnesses(x, 3, (-1, 1), items),
                    truncated=paths.truncated)
 
 
@@ -265,7 +294,7 @@ def bound_diameter(g: Graph, cap: int = DIAMETER_PATH_CAP) -> BoundReport:
 
 def bound_cactus(g: Graph) -> BoundReport:
     """DSL-spread lower bound for cacti, indexed by the longest cycles."""
-    dd, rows, true_report = _analyse(g, KIND_DSL)
+    dd, x, true_report = _analyse(g, KIND_DSL)
     n = g.n
     cycles = cactus_longest_cycles(g)
     l = cycles.parameter
@@ -275,12 +304,12 @@ def bound_cactus(g: Graph) -> BoundReport:
     W = dd.wiener
     odd = l % 2  # the odd-l forms add -l*n to a and -4l*W to b
     items = [
-        ("(" + ",".join(f"v{v + 1}" for v in member) + ")", member, member, Fraction(s),
+        ("(" + ",".join(names) + ")", member, member, Fraction(s),
          l ** 3 * n + 4 * n * s - odd * l * n - 16 * l * (s - W),
          4 * (l ** 3 - odd * l) * W - 16 * s * (s - W))
-        for member, s in _with_trans_sums(cycles, dd)
+        for member, names, s in _members(cycles, dd, n)
     ]
-    return _report(METHOD_CACTUS, "circumference", l, true_report, _witnesses(rows, 4, (1, 1), items))
+    return _report(METHOD_CACTUS, "circumference", l, true_report, _witnesses(x, 4, (1, 1), items))
 
 
 # ---------------------------------------------------------------------------
@@ -323,5 +352,5 @@ def legacy_2012_counterexample(g: Graph, v: int) -> LegacyComparison:
         (Fraction(t_delta + delta - 2 * delta * delta, n - delta - 1),
          Fraction(S - 2 * t_delta + 2 * delta * (delta - 1), n - delta - 1)),
     )
-    b2 = _quotient(dd.dist, dd.trans, S, sorted({v, *g.adjacency[v]}))[0]
+    b2 = next(_quotients(distance_matrix(dd, KIND_DISTANCE), [sorted({v, *g.adjacency[v]})]))[0]
     return LegacyComparison(b1=b1, b2=b2, equal=(b1 == b2.entries))

@@ -23,7 +23,8 @@ class SymMatrix:
     """Real symmetric matrix, held as a read-only float array.
 
     Construction checks symmetry and symmetrises the input. Exact quotients
-    are formed from the integer rows the matrix was built from, not from it.
+    are formed from the int64 D(G) or Q(G) the matrix was built from, not
+    from it.
     """
 
     __slots__ = ("n", "array")

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import SpreadlabError
 from .graph import DistanceData, Graph, all_pairs_distances
 from .linalg import Spectrum, SymMatrix, eigenvalues_symmetric
@@ -29,21 +31,27 @@ class SpreadReport:
     spectrum: Spectrum
 
 
-def dsl_rows(dd: DistanceData) -> tuple[tuple[int, ...], ...]:
-    """Integer rows of Q(G) = Tr(G) + D(G), from the graph's all_pairs_distances."""
-    # list-built tuples are allocated at their final size (see all_pairs_distances)
-    return tuple([
-        tuple([d + (dd.trans[i] if i == j else 0) for j, d in enumerate(row)])
-        for i, row in enumerate(dd.dist)
-    ])
+def distance_matrix(dd: DistanceData, kind: str) -> np.ndarray:
+    """D(G) for kind 'distance', Q(G) = Tr(G) + D(G) for kind 'dsl', as a
+    read-only int64 array, from the graph's all_pairs_distances.
+
+    The empty graph has neither matrix and is refused here, so every spread
+    and bound reports it the same way.
+    """
+    if kind not in (KIND_DISTANCE, KIND_DSL):
+        raise ValueError(f"unknown matrix kind {kind!r}; expected 'distance' or 'dsl'")
+    if not dd.dist:
+        raise SpreadlabError("the empty graph (0 vertices) has no distance matrix")
+    x = np.array(dd.dist, dtype=np.int64)
+    if kind == KIND_DSL:
+        np.fill_diagonal(x, dd.trans)  # D(G) has a zero diagonal
+    x.setflags(write=False)
+    return x
 
 
 def matrix_of_kind(g: Graph, kind: str) -> SymMatrix:
     """D(G) for kind 'distance', Q(G) for kind 'dsl'."""
-    if kind not in (KIND_DISTANCE, KIND_DSL):
-        raise ValueError(f"unknown matrix kind {kind!r}; expected 'distance' or 'dsl'")
-    dd = all_pairs_distances(g)
-    return SymMatrix(dd.dist if kind == KIND_DISTANCE else dsl_rows(dd))
+    return SymMatrix(distance_matrix(all_pairs_distances(g), kind))
 
 
 def spread(g: Graph, kind: str) -> SpreadReport:

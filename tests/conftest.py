@@ -6,7 +6,17 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from spreadlab import Graph, NumericError, QuotientMatrix, Spectrum, SymMatrix, eigenvalues_symmetric, is_connected
+from spreadlab import (
+    KIND_DSL,
+    Graph,
+    NumericError,
+    QuotientMatrix,
+    Spectrum,
+    SymMatrix,
+    all_pairs_distances,
+    eigenvalues_symmetric,
+    is_connected,
+)
 
 JACOBI_TOL = 1e-12
 MAX_SWEEPS = 100
@@ -90,6 +100,14 @@ def around(inside, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Two blocks of 0..n-1: the given vertex set sorted, then the rest."""
     inside = tuple(sorted(inside))
     return inside, tuple(v for v in range(n) if v not in inside)
+
+
+def matrix_rows(g: Graph, kind: str) -> list[list[int]]:
+    """Python-int rows of D(G) for kind 'distance' or Q(G) = Tr(G) + D(G) for
+    kind 'dsl', built without numpy, for the references below."""
+    dd = all_pairs_distances(g)
+    return [[d + (dd.trans[i] if kind == KIND_DSL and i == j else 0) for j, d in enumerate(row)]
+            for i, row in enumerate(dd.dist)]
 
 
 def reference_quotient(rows, blocks: Sequence[Sequence[int]]) -> QuotientMatrix:

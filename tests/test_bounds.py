@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import spreadlab
 from spreadlab import (
     AcyclicError,
     DegenerateBoundError,
+    Graph,
     KIND_DISTANCE,
     KIND_DSL,
     NotBipartiteError,
@@ -27,14 +29,15 @@ from spreadlab import (
     kite,
     legacy_2012_counterexample,
     maximum_cliques,
+    parse_graph6,
     path,
     spread,
     star,
 )
 from spreadlab.bounds import _witnesses
-from spreadlab.spectral import dsl_rows
+from spreadlab.spectral import distance_matrix
 
-from .conftest import around, eig2_real, random_cactus, random_connected_graph, reference_quotient
+from .conftest import around, eig2_real, matrix_rows, random_cactus, random_connected_graph, reference_quotient
 
 TOL = 1e-8
 
@@ -313,8 +316,7 @@ def witness_set(g, report, w):
 
 
 def assert_quotients_match_general(g, report, kind):
-    dd = all_pairs_distances(g)
-    rows = dd.dist if kind == KIND_DISTANCE else dsl_rows(dd)
+    rows = matrix_rows(g, kind)
     for w in report.witnesses:
         assert w.quotient == reference_quotient(rows, around(witness_set(g, report, w), g.n))
 
@@ -341,6 +343,68 @@ def test_engine_quotients_match_general_quotient_structures(rng):
             assert_quotients_match_general(g, r, KIND_DSL)
             checked[r.method] += len(r.witnesses)
     assert all(count > 20 for count in checked.values()), checked
+
+
+def grid(rows, cols):
+    """The rows x cols grid, vertex r * cols + c."""
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range(rows * cols - cols)]
+    return Graph(rows * cols, edges)
+
+
+def hypercube(dim):
+    """Q_dim, vertices adjacent when their labels differ in one bit."""
+    return Graph(1 << dim, [(u, u | 1 << i) for u in range(1 << dim) for i in range(dim) if not u >> i & 1])
+
+
+@pytest.mark.parametrize("g, paths", [(hypercube(5), 1920), (grid(6, 7), 924)], ids=["Q5", "grid6x7"])
+def test_engine_matches_reference_across_gather_blocks(monkeypatch, g, paths):
+    # a few witnesses per gather block, the last block partial on Q5, must
+    # give the same report as one block; each quotient, equitable flag
+    # included, is the reference's
+    whole = bound_diameter(g)
+    assert len(whole.witnesses) == paths and not whole.witnesses_truncated
+    monkeypatch.setattr(spreadlab.bounds, "GATHER_ENTRIES", 2500)
+    assert bound_diameter(g) == whole
+    assert_quotients_match_general(g, whole, KIND_DSL)
+
+
+def test_engine_equitable_flag_both_ways():
+    # every edge of C_4 and the 4-cycle of E?lo split Q(G) equitably; no
+    # diameter path of G1 does
+    cases = [(bound_clique, cycle(4), True), (bound_cactus, parse_graph6("E?lo"), True),
+             (bound_diameter, builtin("G1"), False)]
+    for fn, g, equitable in cases:
+        r = fn(g)
+        assert {w.quotient.equitable for w in r.witnesses} == {equitable}
+        assert_quotients_match_general(g, r, KIND_DSL)
+
+
+def test_engine_int64_sums_match_python_ints_on_large_transmissions():
+    # kite(300, 3): a triangle with a 297-vertex tail, transmissions up to
+    # ~44,000; the reference sums Python-int rows of Q(G) in Fractions
+    g = kite(300, 3)
+    rows = matrix_rows(g, KIND_DSL)
+    reports = [bound_clique(g), bound_diameter(g), bound_cactus(g)]
+    assert [len(r.witnesses) for r in reports] == [1, 2, 1]
+    for r in reports:
+        for w in r.witnesses:
+            assert w.quotient == reference_quotient(rows, around(w.vertices, g.n))
+
+
+def test_engine_memory_is_flat_in_the_witness_count():
+    # 6,864 diameter paths of 15 vertices on the 8x8 grid: one unblocked
+    # gather of their rows would hold 6864 * 15 * 64 int64 entries (~53 MB)
+    g = grid(8, 8)
+    unblocked = 6864 * 15 * 64 * 8
+    tracemalloc.start()
+    try:
+        r = bound_diameter(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(r.witnesses) == 6864
+    assert peak < unblocked
 
 
 def test_each_bound_runs_one_distance_analysis(monkeypatch):
@@ -377,12 +441,12 @@ def test_each_bound_runs_one_distance_analysis(monkeypatch):
 
 def test_engine_rejects_perturbed_coefficients():
     g = builtin("G1")
-    rows = dsl_rows(all_pairs_distances(g))
+    x = distance_matrix(all_pairs_distances(g), KIND_DSL)
     w = bound_diameter(g).witnesses[0]
     item = (w.label, w.vertices, w.vertices, w.s_or_t, w.a, w.b)
-    assert _witnesses(rows, 3, (-1, 1), [item]) == [w]
+    assert _witnesses(x, 3, (-1, 1), [item]) == [w]
     for a, b in ((w.a + 1, w.b), (w.a, w.b - 1)):
         with pytest.raises(SpreadlabError, match="disagree"):
-            _witnesses(rows, 3, (-1, 1), [item[:4] + (a, b)])
+            _witnesses(x, 3, (-1, 1), [item[:4] + (a, b)])
     with pytest.raises(SpreadlabError, match="disagree"):
-        _witnesses(rows, 3, (1, 1), [item])  # a sign flipped
+        _witnesses(x, 3, (1, 1), [item])  # a sign flipped

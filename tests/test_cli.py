@@ -148,6 +148,17 @@ def test_domain_error_exit_2(capsys):
     assert code == EXIT_DOMAIN
 
 
+def test_empty_graph_exits_domain_naming_it(capsys):
+    # '?' is the graph on no vertices; it used to fail as "expected a square
+    # matrix, got shape (0,)"
+    runs = [("spectrum", "--matrix", m) for m in ("distance", "dsl")]
+    runs += [("bound", "--method", m) for m in ("bipartite-distance", "bipartite-dsl", "clique", "diameter", "cactus")]
+    for argv in runs:
+        code, out, err = run(capsys, *argv, "--g6", "?")
+        assert code == EXIT_DOMAIN and out == "", argv
+        assert "the empty graph (0 vertices)" in err and "Traceback" not in err, argv
+
+
 def test_verify_tables_reports_failures_exit_3(capsys):
     code, out, _ = run(capsys, "verify-tables")
     assert code == EXIT_VERIFY  # a few published cells do not reproduce

@@ -18,9 +18,9 @@ from spreadlab import (
     legacy_2012_counterexample,
     spread,
 )
-from spreadlab.spectral import KIND_DSL, dsl_rows
+from spreadlab.spectral import KIND_DSL
 
-from .conftest import around, quotient_eigenvalues, random_connected_graph, reference_quotient
+from .conftest import around, matrix_rows, quotient_eigenvalues, random_connected_graph, reference_quotient
 from .test_linalg import random_symmetric
 
 
@@ -63,7 +63,7 @@ def test_quotient_equitable_flag():
 def test_quotient_eigenvalues_match_numpy(rng):
     for _ in range(20):
         g = random_connected_graph(rng, rng.randint(3, 9))
-        rows = dsl_rows(all_pairs_distances(g))
+        rows = matrix_rows(g, KIND_DSL)
         k = rng.randint(1, g.n - 1)
         q = reference_quotient(rows, around(rng.sample(range(g.n), k), g.n))
         ref = sorted(np.linalg.eigvals(np.array(q.entries, dtype=float)).real)

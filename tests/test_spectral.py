@@ -16,9 +16,9 @@ from spreadlab import (
     spread,
     star,
 )
-from spreadlab.spectral import dsl_rows, matrix_of_kind
+from spreadlab.spectral import distance_matrix, matrix_of_kind
 
-from .conftest import random_connected_graph
+from .conftest import matrix_rows, random_connected_graph
 
 
 def test_matrix_construction():
@@ -29,8 +29,9 @@ def test_matrix_construction():
     for i in range(4):
         assert q.array[i, i] == dd.trans[i]
         assert d.array[i, i] == 0
-    rows = dsl_rows(dd)
-    assert all(isinstance(x, int) for row in rows for x in row)
+    x = distance_matrix(dd, KIND_DSL)
+    assert x.dtype == np.int64 and not x.flags.writeable
+    assert x.tolist() == matrix_rows(g, KIND_DSL)
     with pytest.raises(ValueError):
         matrix_of_kind(g, "laplacian")
 
@@ -153,8 +154,8 @@ def test_closed_form_errors():
 def test_spectra_match_numpy_oracle(rng):
     for _ in range(15):
         g = random_connected_graph(rng, rng.randint(2, 9))
-        for kind, rows in ((KIND_DISTANCE, all_pairs_distances(g).dist), (KIND_DSL, dsl_rows(all_pairs_distances(g)))):
-            ref = sorted(np.linalg.eigvalsh(np.array(rows, float)))
+        for kind in (KIND_DISTANCE, KIND_DSL):
+            ref = sorted(np.linalg.eigvalsh(np.array(matrix_rows(g, kind), float)))
             mine = sorted(spread(g, kind).spectrum.values)
             for x, y in zip(mine, ref):
                 assert abs(x - y) < 1e-8
