@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, repeat
 from typing import Iterable, Sequence
 
 from .errors import NotBipartiteError, NotConnectedError, ParseError, SpreadlabError
@@ -89,6 +90,12 @@ class DistanceData:
 # graph6
 
 
+# the bytes '?'..'~' that carry six bits each, and those bits of each data
+# value 0..63, most significant first
+_G6_DATA_BYTES = bytes(range(63, 127))
+_G6_BITS = tuple(tuple((v >> shift) & 1 for shift in range(5, -1, -1)) for v in range(64))
+
+
 def _g6_read_n(data: bytes, pos: int) -> tuple[int, int]:
     if pos >= len(data):
         raise ParseError(f"truncated graph6 string at byte {pos}")
@@ -133,21 +140,17 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(data) - pos > nbytes:
         raise ParseError(f"trailing bytes after graph6 bit stream at byte {pos + nbytes}")
-    bits = []
-    for i in range(nbytes):
-        b = data[pos + i]
-        if not (63 <= b <= 126):
-            raise ParseError(f"out-of-range graph6 byte {b} at offset {pos + i}")
-        val = b - 63
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
+    body = data[pos:]
+    if body.translate(None, _G6_DATA_BYTES):
+        i, b = next((i, b) for i, b in enumerate(body) if not (63 <= b <= 126))
+        raise ParseError(f"out-of-range graph6 byte {b} at offset {pos + i}")
+    bits = list(chain.from_iterable([_G6_BITS[b - 63] for b in body]))
     edges = []
     k = 0
     # upper triangle, column-major: (0,1), (0,2), (1,2), (0,3), ...
     for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                edges.append((u, v))
-            k += 1
+        edges += zip(compress(range(v), bits[k:k + v]), repeat(v))
+        k += v
     return Graph(n, edges)
 
 

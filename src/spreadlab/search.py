@@ -2,19 +2,26 @@
 
 Connected bipartite graphs are enumerated one isomorphism class each: for a
 part split a + b = n the biadjacency rows are generated as non-decreasing
-bitmask tuples (a cheap exact reduction of labelled duplicates), survivors
-are deduplicated by a canonical form computed with iterated colour
-refinement plus backtracking. The backtracking branches on one vertex of
-each group of twins (equal open or equal closed neighbourhoods), since
-swapping twins is an automorphism. The tuples are read in numpy blocks; one
-vectorised pass per block drops the disconnected ones and brings the rest to
-a sorted form by sorting biadjacency columns and rows until they stay
-sorted. Every step permutes rows or columns, so candidates with equal forms
-are isomorphic. Each process labels each form once per conjecture check and
-eigensolves each class once, on the graph read off its canonical key: at
-n = 9 serially, 2,251 labellings and 730 solves for 49,333 candidates. Work
-is chunked by (a, combination range) so runs can be parallelised, and each
-finished chunk is appended to an optional checkpoint file at once.
+bitmask tuples (a cheap exact reduction of labelled duplicates). The tuples
+are read in numpy blocks; one vectorised pass per block drops the
+disconnected ones and brings the rest to a sorted form by sorting
+biadjacency columns and rows until they stay sorted. Every step permutes
+rows or columns, so candidates with equal forms are isomorphic. A second
+vectorised pass gives each of a chunk's distinct forms its exact class key:
+the least, over the a! row orders, of the matrix with its columns sorted and
+packed into one integer, and for a = b also of its transpose. A connected
+bipartite graph has one bipartition, so equal keys mean isomorphic graphs;
+the a! orders keep this to small a (a <= 5 for n <= CONJECTURE_MAX_N). Each
+process eigensolves each class once, on the graph read off its key: at
+n = 9 serially, 730 solves for 49,333 candidates. Work is chunked by
+(a, combination range) so runs can be parallelised, and each finished chunk
+is appended to an optional checkpoint file at once, naming only the classes
+no earlier record of the run holds.
+
+The general canonical form (iterated colour refinement plus backtracking,
+branching on one vertex of each group of twins, since swapping twins is an
+automorphism) serves canonical_labelling, canonical_key, canonical_graph,
+canonical_graph6 and isomorphic; the search does not use it.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import time
 from collections.abc import Collection, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, islice
+from itertools import chain, combinations_with_replacement, islice, permutations
 
 import numpy as np
 
@@ -34,9 +41,11 @@ from .graph import Graph, _encode_graph6, complete_bipartite, write_graph6
 from .spectral import KIND_DSL, kab_q_extremes, spread
 
 CONJECTURE_MAX_N = 10
-ABS_TOL = 1e-8
 EQUALITY_TOL = 1e-6
 DEFAULT_CHUNK = 20000
+# checkpoint records carry the labelling that named their classes; records
+# named by another one are another run's, since their graph6 strings differ
+_LABELLING = "sorted-columns"
 
 
 # ---------------------------------------------------------------------------
@@ -227,41 +236,70 @@ def _chunk_forms(a: int, b: int, start: int, end: int) -> tuple[int, list[int]]:
                 forms.append(form)
 
 
-def _form_key(a: int, b: int, form: int) -> int:
-    """Canonical key of the graph whose biadjacency rows are packed in form:
-    left vertex i is i, right vertex j is a + j."""
-    row_mask = (1 << b) - 1
-    rows = [form >> i * b & row_mask for i in range(a)]
-    left = [tuple(a + j for j in range(b) if (r >> j) & 1) for r in rows]
-    right = [tuple(i for i in range(a) if (rows[i] >> j) & 1) for j in range(b)]
-    return _canonical(a + b, left + right)[0]
+def _class_keys(a: int, b: int, forms: list[int]) -> list[int]:
+    """Exact class key of each form (packed as in _chunk_forms): the least,
+    over the a! orders of the rows, of the matrix with its columns (bitmasks
+    over the rows) sorted and packed with column j at bit j * a, and, when
+    a = b, the least of that and the same for the transpose.
+
+    Two matrices get equal keys exactly when one is a row and column
+    permutation of the other, or for a = b of the other's transpose. A
+    connected bipartite graph has one bipartition, so equal keys mean
+    isomorphic graphs. Each block holds at most _BLOCK // a! forms, which
+    keeps the (forms, orders, columns) temporaries at _BLOCK * b entries.
+    """
+    to_cols = _spread_table(b, a)
+    col_mask, row_mask = (1 << a) - 1, (1 << b) - 1
+    row_index = np.arange(a, dtype=np.int64)
+    col_shift = np.arange(b, dtype=np.int64) * a
+    # place[i, p]: 2 ** (the place of row i in the p-th row order)
+    place = (1 << np.array(list(permutations(range(a))), dtype=np.int64)).T.copy()
+    step = max(1, _BLOCK // place.shape[1])
+    keys: list[int] = []
+    for s in range(0, len(forms), step):
+        rows = np.array(forms[s:s + step], dtype=np.int64)[:, None] >> row_index * b & row_mask
+        # each row's bit j moved to bit j * a; the rows' fields are disjoint
+        # once shifted to their places, so these integer products are ORs
+        fields = [to_cols[rows]]
+        if a == b:
+            transposed = fields[0] @ (1 << row_index)
+            fields.append(to_cols[transposed[:, None] >> col_shift & col_mask])
+        best = None
+        for f in fields:
+            cols = np.sort((f @ place)[..., None] >> col_shift & col_mask, axis=2)
+            least = (cols @ (1 << col_shift)).min(axis=1)
+            best = least if best is None else np.minimum(best, least)
+        keys += best.tolist()
+    return keys
 
 
-def _key_graph(n: int, key: int) -> Graph:
-    """The graph whose upper-triangle bitmask is key, as in _key_graph6."""
-    return Graph(n, [(u, v) for v in range(1, n) for u in range(v) if key >> (u * n + v) & 1])
+def _key_graph(a: int, b: int, key: int) -> Graph:
+    """The graph whose biadjacency columns are packed in key as in
+    _class_keys: left vertex i is i, right vertex j is a + j."""
+    return Graph(a + b, [(i, a + j) for j in range(b) for i in range(a) if key >> (j * a + i) & 1])
 
 
-def _key_graph6(n: int, key: int) -> str:
-    """graph6 of the graph whose upper-triangle bitmask (bit u * n + v for an
-    edge u < v) is key; for a canonical key, the canonical graph6."""
-    return _encode_graph6(n, [key >> (u * n + v) & 1 for v in range(1, n) for u in range(v)])
+def _key_graph6(a: int, b: int, key: int) -> str:
+    """graph6 of _key_graph(a, b, key), read straight off the key's bits."""
+    bits = [0] * (a * (a - 1) // 2)
+    for j in range(b):
+        # the upper-triangle column of right vertex a + j: its a left
+        # neighbour bits, then j right vertices it is never adjacent to
+        bits += [key >> (j * a + i) & 1 for i in range(a)] + [0] * j
+    return _encode_graph6(a + b, bits)
 
 
 def enumerate_connected_bipartite(n: int):
     """Yield one representative per isomorphism class of connected bipartite
-    graphs on n vertices, in a deterministic order: the canonical graph of
-    each class, in order of its first candidate."""
+    graphs on n vertices, in a deterministic order: the graph read off each
+    class key (see _key_graph), in order of its first candidate."""
     if not (2 <= n <= CONJECTURE_MAX_N):
         raise ValueError(f"enumeration supports 2 <= n <= {CONJECTURE_MAX_N}, got {n}")
-    seen: set[int] = set()
     for a in range(1, n // 2 + 1):
         b = n - a
-        for form in _chunk_forms(a, b, 0, _count_row_tuples(a, b))[1]:
-            key = _form_key(a, b, form)
-            if key not in seen:
-                seen.add(key)
-                yield _key_graph(n, key)
+        forms = _chunk_forms(a, b, 0, _count_row_tuples(a, b))[1]
+        for key in dict.fromkeys(_class_keys(a, b, forms)):
+            yield _key_graph(a, b, key)
 
 
 # ---------------------------------------------------------------------------
@@ -310,51 +348,41 @@ def _count_row_tuples(a: int, b: int) -> int:
     return comb((1 << b) - 1 + a - 1, a)
 
 
-# Per-process memos for one check_conjecture call: (a, b, form) -> canonical
-# key, and (n, canonical key) -> S_Q. A pool worker keeps them across all the
-# chunks it runs, so it labels each form and solves each class once; forked
-# workers inherit them empty, since check_conjecture clears them before the
-# pool starts and again when it returns or raises. Each entry is a function
-# of its key alone, so what a chunk reports does not depend on which chunks
-# ran before it in the same process.
-_form_keys: dict[tuple[int, int, int], int] = {}
-_class_spreads: dict[tuple[int, int], float] = {}
-
-
-def _clear_memos() -> None:
-    _form_keys.clear()
-    _class_spreads.clear()
+# Per-process memo for one check_conjecture call: (n, a, class key) ->
+# (graph6, S_Q). A pool worker keeps it across all the chunks it runs, so it
+# names and solves each class once; forked workers inherit it empty, since
+# check_conjecture clears it before the pool starts and again when it
+# returns or raises. Each entry is a function of its key alone, so what a
+# chunk reports does not depend on which chunks ran before it in the same
+# process.
+_classes: dict[tuple[int, int, int], tuple[str, float]] = {}
 
 
 def _run_chunk(args) -> tuple[int, int, int, dict, int]:
-    """Worker: canonical classes found in one (a, range) chunk.
+    """Worker: the classes found in one (a, range) chunk.
 
-    Returns (a, start, end, {canonical graph6: S_Q}, candidates examined).
-    Classes come in order of their first candidate; S_Q is solved on the
-    class's canonical graph.
+    Returns (a, start, end, {graph6: S_Q}, candidates examined). Classes
+    come in order of their first candidate; each is named and solved on the
+    graph read off its class key.
     """
     n, a, start, end = args
     b = n - a
     candidates, forms = _chunk_forms(a, b, start, end)
     classes: dict[str, float] = {}
-    seen: set[int] = set()
-    for form in forms:
-        key = _form_keys.get((a, b, form))
-        if key is None:
-            key = _form_keys[(a, b, form)] = _form_key(a, b, form)
-        if key not in seen:
-            seen.add(key)
-            sq = _class_spreads.get((n, key))
-            if sq is None:
-                sq = _class_spreads[(n, key)] = spread(_key_graph(n, key), KIND_DSL).spread
-            classes[_key_graph6(n, key)] = sq
+    for key in dict.fromkeys(_class_keys(a, b, forms)):
+        named = _classes.get((n, a, key))
+        if named is None:
+            sq = spread(_key_graph(a, b, key), KIND_DSL).spread
+            named = _classes[(n, a, key)] = (_key_graph6(a, b, key), sq)
+        classes[named[0]] = named[1]
     return a, start, end, classes, candidates
 
 
 def _read_checkpoint(path: str, n: int, wanted: set) -> dict:
     """{(a, start, end): (classes, candidates)} of the records in a checkpoint
-    file that belong to this run's chunk list; records of another n or of
-    another chunking are left alone, so those chunks are redone.
+    file that belong to this run's chunk list; records of another n, of
+    another chunking or of another labelling (including records without a
+    "labelling" field) are left alone, so those chunks are redone.
 
     An unparsable final line is what a run killed mid-write leaves: it is
     cut off and its chunk redone. An unparsable line before it is an error.
@@ -371,7 +399,7 @@ def _read_checkpoint(path: str, n: int, wanted: set) -> dict:
                 try:
                     rec = json.loads(line)
                     key = (rec["a"], rec["start"], rec["end"])
-                    ours = rec["n"] == n and key in wanted
+                    ours = rec["n"] == n and key in wanted and rec.get("labelling") == _LABELLING
                     record = (rec["classes"], rec["candidates"])
                 except (ValueError, KeyError, TypeError):
                     if number < len(lines):
@@ -418,7 +446,8 @@ def check_conjecture(
 
     With a checkpoint file, each chunk's record is appended and synced as
     soon as the chunk completes, and the chunks it already holds are not
-    run again."""
+    run again. A record names only the classes that no earlier record of
+    this run (same n, chunking and labelling) holds."""
     if not (2 <= n <= CONJECTURE_MAX_N):
         raise ValueError(f"conjecture check supports 2 <= n <= {CONJECTURE_MAX_N}, got {n}")
     if chunk_size < 1:
@@ -436,20 +465,25 @@ def check_conjecture(
     ]
     done = _read_checkpoint(checkpoint, n, {c[1:] for c in chunks}) if checkpoint else {}
     pending = [c for c in chunks if c[1:] not in done]
-    _clear_memos()
+    # classes some record of this run on file already holds; a new record
+    # names only the others, and done keeps every chunk's full map
+    written = {g6 for classes, _ in done.values() for g6 in classes}
+    _classes.clear()
     try:
         with open(checkpoint, "a") if checkpoint else nullcontext() as ckpt_fh:
             for a, start, end, classes, candidates in _completed(pending, threads):
                 done[(a, start, end)] = (classes, candidates)
                 if ckpt_fh:
+                    new = {g6: sq for g6, sq in classes.items() if g6 not in written}
+                    written.update(new)
                     ckpt_fh.write(json.dumps({
-                        "n": n, "a": a, "start": start, "end": end,
-                        "classes": classes, "candidates": candidates,
+                        "n": n, "labelling": _LABELLING, "a": a, "start": start, "end": end,
+                        "classes": new, "candidates": candidates,
                     }) + "\n")
                     ckpt_fh.flush()
                     os.fsync(ckpt_fh.fileno())
     finally:
-        _clear_memos()
+        _classes.clear()
 
     merged: dict[str, float] = {}
     candidates_total = 0
@@ -461,15 +495,15 @@ def check_conjecture(
                 merged[g6] = sq
 
     a0 = n // 2
-    reference_graph = complete_bipartite(a0, n - a0)
-    reference = spread(reference_graph, KIND_DSL).spread
-    reference_key = canonical_graph6(reference_graph)
+    reference = spread(complete_bipartite(a0, n - a0), KIND_DSL).spread
+    # named in the search's own labelling: the all-ones biadjacency key
+    reference_g6 = _key_graph6(a0, n - a0, (1 << a0 * (n - a0)) - 1)
 
     counterexamples = []
     for g6, sq in sorted(merged.items()):
         if sq < reference - EQUALITY_TOL:
             counterexamples.append((g6, sq))
-        elif abs(sq - reference) <= EQUALITY_TOL and g6 != reference_key:
+        elif abs(sq - reference) <= EQUALITY_TOL and g6 != reference_g6:
             # a near-tie must be the extremal graph itself
             counterexamples.append((g6, sq))
     minimizer_g6, minimizer_sq = min(merged.items(), key=lambda kv: (kv[1], kv[0]))

@@ -22,6 +22,7 @@ from spreadlab import (
     parse_graph6,
     path,
     star,
+    write_graph6,
 )
 import spreadlab
 from spreadlab import search
@@ -270,8 +271,8 @@ def test_enumeration_counts_match_oracle():
 
 
 def test_enumeration_counts_frozen():
-    # connected bipartite isomorphism classes on 2..8 vertices
-    want = {2: 1, 3: 1, 4: 3, 5: 5, 6: 17, 7: 44, 8: 182}
+    # connected bipartite isomorphism classes on 2..9 vertices (OEIS A005142)
+    want = {2: 1, 3: 1, 4: 3, 5: 5, 6: 17, 7: 44, 8: 182, 9: 730}
     for n, k in want.items():
         assert sum(1 for _ in enumerate_connected_bipartite(n)) == k
 
@@ -406,10 +407,55 @@ def test_chunk_forms_match_scalar_reference(chunk_size, block, monkeypatch):
                 (n, a, start, end)
 
 
+def reference_class_key(a: int, b: int, rows) -> int:
+    """search._class_keys one form at a time: the least, over every row
+    order, of the sorted biadjacency columns packed with column j at bit
+    j * a, and for a = b the least of that and the same for the transpose."""
+    variants = [rows, columns(a, b, rows)] if a == b else [rows]
+    return min(
+        sum(c << (j * a) for j, c in enumerate(sorted(columns(a, b, [m[i] for i in order]))))
+        for m in variants
+        for order in itertools.permutations(range(a))
+    )
+
+
+def unpacked(a: int, b: int, form: int) -> list[int]:
+    return [form >> (i * b) & ((1 << b) - 1) for i in range(a)]
+
+
+def key_graph(a: int, b: int, key: int) -> Graph:
+    """Left vertex i is i, right vertex j is a + j, column j at bit j * a."""
+    return Graph(a + b, [(i, a + j) for j in range(b) for i in range(a) if (key >> (j * a + i)) & 1])
+
+
+def all_forms(n: int):
+    for a in range(1, n // 2 + 1):
+        yield a, n - a, search._chunk_forms(a, n - a, 0, search._count_row_tuples(a, n - a))[1]
+
+
+@pytest.mark.parametrize("block", [search._BLOCK, 7])
+def test_class_keys_match_scalar_reference(block, monkeypatch):
+    # block 7 puts one form in each numpy pass once a >= 3
+    monkeypatch.setattr(search, "_BLOCK", block)
+    for n in range(2, 9):
+        for a, b, forms in all_forms(n):
+            assert search._class_keys(a, b, forms) == [reference_class_key(a, b, unpacked(a, b, f)) for f in forms], \
+                (n, a)
+
+
+def test_class_keys_are_exact_against_the_general_labeller():
+    # equal class keys exactly when the general canonical keys are equal
+    for n in range(2, 10):
+        pairs = {(a, key, canonical_key(graph_from_rows(a, b, unpacked(a, b, form))))
+                 for a, b, forms in all_forms(n)
+                 for form, key in zip(forms, search._class_keys(a, b, forms))}
+        assert len({p[:2] for p in pairs}) == len({p[2] for p in pairs}) == len(pairs), n
+
+
 def reference_run_chunk(args):
-    """_run_chunk without sorted forms or memos: every candidate labelled,
-    the class written as the graph6 of its canonically relabelled graph and
-    solved on that graph."""
+    """_run_chunk without sorted forms, numpy or memos: every candidate keyed
+    with reference_class_key, the class written as the graph6 of the graph
+    read off its key and solved on that graph."""
     n, a, start, end = args
     b = n - a
     classes, seen, candidates = {}, set(), 0
@@ -417,11 +463,11 @@ def reference_run_chunk(args):
         if not rows_connected(a, b, rows):
             continue
         candidates += 1
-        g = graph_from_rows(a, b, rows)
-        key = canonical_key(g)
+        key = reference_class_key(a, b, rows)
         if key not in seen:
             seen.add(key)
-            classes[canonical_graph6(g)] = spread(canonical_graph(g), KIND_DSL).spread
+            g = key_graph(a, b, key)
+            classes[write_graph6(g)] = spread(g, KIND_DSL).spread
     return a, start, end, classes, candidates
 
 
@@ -437,29 +483,37 @@ def test_run_chunk_matches_labelling_every_candidate(chunk_size):
 
 
 def memos_empty() -> bool:
-    return not search._form_keys and not search._class_spreads
+    return not search._classes
 
 
 @pytest.mark.parametrize("chunk_size", [search.DEFAULT_CHUNK, 97])
 def test_conjecture_labels_each_form_and_solves_each_class_once(chunk_size, monkeypatch):
     # at chunk size 97, forms and classes recur across chunks
-    labelled, solved = [], []
-    canonical, solve = search._canonical, search.spread
+    labelled, keyed, solved = [], [], []
+    canonical, class_keys, solve = search._canonical, search._class_keys, search.spread
 
     def counted_canonical(n, adj):
         labelled.append(n)
         return canonical(n, adj)
+
+    def counted_class_keys(a, b, forms):
+        keyed.extend((a, form) for form in forms)
+        return class_keys(a, b, forms)
 
     def counted_spread(g, kind):
         solved.append(g.n)
         return solve(g, kind)
 
     monkeypatch.setattr(search, "_canonical", counted_canonical)
+    monkeypatch.setattr(search, "_class_keys", counted_class_keys)
     monkeypatch.setattr(search, "spread", counted_spread)
     report = check_conjecture(8, threads=1, chunk_size=chunk_size)
-    forms = {(a, sorted_form(a, b, rows)) for a, b, rows in connected_row_tuples(8)}
-    # the K_{4,4} reference is labelled and solved once more
-    assert len(labelled) == len(forms) + 1 < report.candidates
+    # the general labeller is not used; each chunk keys its distinct forms once
+    assert labelled == []
+    assert len(keyed) == sum(len(search._chunk_forms(a, 8 - a, start, end)[1])
+                             for _, a, start, end in chunks(8, chunk_size))
+    assert set(keyed) == {(a, f) for a, _, forms in all_forms(8) for f in forms}
+    # the K_{4,4} reference is solved once more
     assert len(solved) == report.graphs_checked + 1 == 183
     assert memos_empty()
 
@@ -558,6 +612,65 @@ def test_conjecture_resume_with_other_chunk_size_does_not_double_count(tmp_path)
     lines = ckpt.read_text()
     check_conjecture(7, chunk_size=50, checkpoint=str(ckpt))
     assert ckpt.read_text() == lines
+
+
+def checkpoint_records(path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def test_conjecture_checkpoint_names_each_class_once(tmp_path):
+    fresh = check_conjecture(8, chunk_size=97)
+    ckpt = tmp_path / "chk.jsonl"
+    full = check_conjecture(8, chunk_size=97, checkpoint=str(ckpt))
+    records = checkpoint_records(ckpt)
+    named = [g6 for r in records for g6 in r["classes"]]
+    assert len(named) == len(set(named)) == 182
+    # drop the tail and resume on two workers: the redone records name only
+    # the classes the kept ones lack
+    kept = records[: len(records) // 3]
+    ckpt.write_text("".join(json.dumps(r) + "\n" for r in kept))
+    resumed = check_conjecture(8, threads=2, chunk_size=97, checkpoint=str(ckpt))
+    assert report_fields(resumed) == report_fields(full) == report_fields(fresh)
+    records = checkpoint_records(ckpt)
+    assert sorted((r["a"], r["start"], r["end"]) for r in records) == [c[1:] for c in chunks(8, 97)]
+    named = [g6 for r in records for g6 in r["classes"]]
+    assert len(named) == len(set(named)) == resumed.graphs_checked == 182
+    assert all(r["labelling"] == search._LABELLING for r in records)
+
+
+def old_run_chunk(args):
+    """A chunk as recorded before records carried a labelling: classes named
+    by the canonical graph6 of the general labeller."""
+    n, a, start, end = args
+    b = n - a
+    classes, candidates = {}, 0
+    for rows in itertools.islice(search._row_tuples(a, b), start, end):
+        if rows_connected(a, b, rows):
+            candidates += 1
+            g = canonical_graph(graph_from_rows(a, b, rows))
+            classes.setdefault(canonical_graph6(g), spread(g, KIND_DSL).spread)
+    return a, start, end, classes, candidates
+
+
+def test_conjecture_redoes_records_of_another_labelling(tmp_path):
+    fresh = check_conjecture(7, chunk_size=50)
+    old = [old_run_chunk(c) for c in chunks(7, 50)]
+    ckpt = tmp_path / "chk.jsonl"
+    ckpt.write_text("".join(
+        json.dumps({"n": 7, "a": a, "start": start, "end": end, "classes": classes, "candidates": candidates}) + "\n"
+        for a, start, end, classes, candidates in old[: len(old) // 2]
+    ) + json.dumps({"n": 7, "labelling": "another", "a": old[-1][0], "start": old[-1][1], "end": old[-1][2],
+                    "classes": old[-1][3], "candidates": old[-1][4]}) + "\n")
+    before = ckpt.read_text()
+    resumed = check_conjecture(7, chunk_size=50, checkpoint=str(ckpt))
+    # merged with the old names, the classes and candidates would count twice
+    assert report_fields(resumed) == report_fields(fresh)
+    assert resumed.graphs_checked == 44 and resumed.candidates == 439
+    # the other records are left as they were, and every chunk is redone
+    text = ckpt.read_text()
+    assert text.startswith(before)
+    redone = [json.loads(line) for line in text[len(before):].splitlines()]
+    assert sorted((r["a"], r["start"], r["end"]) for r in redone) == [c[1:] for c in chunks(7, 50)]
 
 
 def test_conjecture_resume_after_torn_last_line(tmp_path):
