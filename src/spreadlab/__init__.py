@@ -49,12 +49,9 @@ from .linalg import Spectrum, SymMatrix, eigenvalues_symmetric
 from .quotient import InterlacingResult, QuotientMatrix, interlaces
 from .search import (
     ConjectureReport,
-    canonical_graph,
-    canonical_graph6,
     check_conjecture,
     check_monotonicity,
     enumerate_connected_bipartite,
-    isomorphic,
 )
 from .spectral import (
     KIND_DISTANCE,

@@ -317,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjecture", help="exhaustive minimum-spread check over bipartite classes")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--threads", type=int, default=None,
-                   help="parallel workers (default: SPREADLAB_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="parallel workers (default: 1)")
     p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK)
     p.add_argument("--checkpoint", metavar="PATH",
                    help="JSON-lines checkpoint file for resumable runs")

@@ -6,30 +6,25 @@ bitmask tuples (a cheap exact reduction of labelled duplicates). The tuples
 are read in numpy blocks; one vectorised pass per block drops the
 disconnected ones and brings the rest to a sorted form by sorting
 biadjacency columns and rows until they stay sorted. Every step permutes
-rows or columns, so candidates with equal forms are isomorphic. A second
+rows or columns, so candidates with equal forms are in one class. A second
 vectorised pass gives each of a chunk's distinct forms its exact class key:
 the least, over the a! row orders, of the matrix with its columns sorted and
 packed into one integer, and for a = b also of its transpose. A connected
-bipartite graph has one bipartition, so equal keys mean isomorphic graphs;
-the a! orders keep this to small a (a <= 5 for n <= CONJECTURE_MAX_N). Each
-process eigensolves each class once, on the graph read off its key: at
-n = 9 serially, 730 solves for 49,333 candidates. Work is chunked by
-(a, combination range) so runs can be parallelised, and each finished chunk
-is appended to an optional checkpoint file at once, naming only the classes
-no earlier record of the run holds.
-
-The general canonical form (iterated colour refinement plus backtracking,
-branching on one vertex of each group of twins, since swapping twins is an
-automorphism) serves canonical_labelling, canonical_key, canonical_graph,
-canonical_graph6 and isomorphic; the search does not use it.
+bipartite graph has one bipartition, so equal keys mean one class; the a!
+orders keep this to small a (a <= 5 for n <= CONJECTURE_MAX_N). This key is
+the package's only isomorphism code. Each process eigensolves each class
+once, on the graph read off its key: at n = 9 serially, 730 solves for
+49,333 candidates. Work is chunked by (a, combination range) so runs can be
+parallelised, and each finished chunk is appended to an optional checkpoint
+file at once, naming only the classes no earlier record of the run holds.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
-from collections.abc import Collection, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, islice, permutations
@@ -37,7 +32,7 @@ from itertools import chain, combinations_with_replacement, islice, permutations
 import numpy as np
 
 from .errors import SpreadlabError
-from .graph import Graph, _encode_graph6, complete_bipartite, write_graph6
+from .graph import Graph, _encode_graph6, complete_bipartite
 from .spectral import KIND_DSL, kab_q_extremes, spread
 
 CONJECTURE_MAX_N = 10
@@ -46,126 +41,6 @@ DEFAULT_CHUNK = 20000
 # checkpoint records carry the labelling that named their classes; records
 # named by another one are another run's, since their graph6 strings differ
 _LABELLING = "sorted-columns"
-
-
-# ---------------------------------------------------------------------------
-# canonical form (iterated refinement + backtracking)
-
-
-def _refine(n: int, adj: Sequence[Collection[int]], colors: list[int]) -> list[int]:
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in adj[v])))
-            for v in range(n)
-        ]
-        order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new = [order[sigs[v]] for v in range(n)]
-        if len(set(new)) == len(set(colors)):
-            return new
-        colors = new
-
-
-def _leaf_key(n: int, adj: Sequence[Collection[int]], colors: list[int]) -> int:
-    # colors are a bijection vertex -> position; encode the relabelled
-    # adjacency as an integer bitmask over the upper triangle
-    pos = colors
-    key = 0
-    for v in range(n):
-        pv = pos[v]
-        for u in adj[v]:
-            pu = pos[u]
-            if pv < pu:
-                key |= 1 << (pv * n + pu)
-    return key
-
-
-def _twins(n: int, adj: Sequence[Collection[int]]) -> list[int]:
-    """For each vertex, the smallest vertex with the same open or the same
-    closed neighbourhood (itself if there is none)."""
-    first_open: dict[int, int] = {}
-    first_closed: dict[int, int] = {}
-    twins = []
-    for v in range(n):
-        mask = 0
-        for u in adj[v]:
-            mask |= 1 << u
-        rep = first_open.setdefault(mask, v)
-        if rep == v:
-            # a vertex with an open twin has no closed twin, and vice versa
-            rep = first_closed.setdefault(mask | 1 << v, v)
-        twins.append(rep)
-    return twins
-
-
-def _canonical_search(
-    n: int, adj: Sequence[Collection[int]], twins: list[int], colors: list[int], best: list
-):
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    target = None
-    for c in sorted(cells):
-        if len(cells[c]) > 1:
-            target = cells[c]
-            break
-    if target is None:
-        key = _leaf_key(n, adj, colors)
-        if best[0] is None or key < best[0]:
-            best[0] = key
-            best[1] = list(colors)
-        return
-    # Swapping two twins is an automorphism that fixes every vertex
-    # individualised so far, so it maps this colouring to itself and the
-    # twins' subtrees hold the same leaf keys. Only the first twin of each
-    # group is branched on; it comes first in DFS order, so the first
-    # minimal leaf, and with it the returned permutation, is unchanged.
-    branched = set()
-    for v in target:
-        if twins[v] in branched:
-            continue
-        branched.add(twins[v])
-        individualised = [c + (1 if c > colors[v] or (c == colors[v] and u != v) else 0)
-                          for u, c in enumerate(colors)]
-        individualised[v] = colors[v]
-        _canonical_search(n, adj, twins, _refine(n, adj, individualised), best)
-
-
-def _canonical(n: int, adj: Sequence[Collection[int]]) -> tuple[int, list[int]]:
-    """(adjacency bitmask, permutation) of the canonical relabelling: the
-    first minimal leaf of the search tree."""
-    if n == 0:
-        return 0, []
-    best: list = [None, None]
-    colors = _refine(n, adj, [len(nbrs) for nbrs in adj])
-    _canonical_search(n, adj, _twins(n, adj), colors, best)
-    return best[0], best[1]
-
-
-def _relabel(g: Graph, perm: list[int]) -> Graph:
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-
-
-def canonical_labelling(g: Graph) -> list[int]:
-    """Permutation mapping each vertex to its canonical position."""
-    return _canonical(g.n, g.adjacency)[1]
-
-
-def canonical_graph(g: Graph) -> Graph:
-    return _relabel(g, canonical_labelling(g))
-
-
-def canonical_key(g: Graph) -> tuple[int, int]:
-    """(n, adjacency bitmask) of the canonical relabelling; equal exactly for
-    isomorphic graphs."""
-    return (g.n, _canonical(g.n, g.adjacency)[0])
-
-
-def canonical_graph6(g: Graph) -> str:
-    return write_graph6(canonical_graph(g))
-
-
-def isomorphic(g: Graph, h: Graph) -> bool:
-    return g.n == h.n and canonical_key(g) == canonical_key(h)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +69,7 @@ def _chunk_forms(a: int, b: int, start: int, end: int) -> tuple[int, list[int]]:
     A form is a candidate's biadjacency matrix after sorting its columns (as
     bitmasks over the rows) and then its rows, repeated until the rows stay
     sorted, packed as one integer with row i at bit i * b. Every step permutes
-    rows or columns, so equal forms come only from isomorphic graphs. Both
+    rows or columns, so equal forms come only from one isomorphism class. Both
     sorts put the larger mask last, so neither makes the matrix smaller when
     it is read as one binary number from its last row and column, and a row
     sort that moves anything makes it larger: the loop ends. Transposing is
@@ -245,7 +120,7 @@ def _class_keys(a: int, b: int, forms: list[int]) -> list[int]:
     Two matrices get equal keys exactly when one is a row and column
     permutation of the other, or for a = b of the other's transpose. A
     connected bipartite graph has one bipartition, so equal keys mean
-    isomorphic graphs. Each block holds at most _BLOCK // a! forms, which
+    one isomorphism class. Each block holds at most _BLOCK // a! forms, which
     keeps the (forms, orders, columns) temporaries at _BLOCK * b entries.
     """
     to_cols = _spread_table(b, a)
@@ -378,15 +253,26 @@ def _run_chunk(args) -> tuple[int, int, int, dict, int]:
     return a, start, end, classes, candidates
 
 
+def _valid_record(classes, candidates) -> bool:
+    """Whether classes maps graph6 strings to finite numbers and candidates
+    is a count; JSON object keys are always strings, and bools are not
+    numbers here."""
+    return (isinstance(classes, dict)
+            and all(type(sq) is int or type(sq) is float and math.isfinite(sq) for sq in classes.values())
+            and type(candidates) is int and candidates >= 0)
+
+
 def _read_checkpoint(path: str, n: int, wanted: set) -> dict:
     """{(a, start, end): (classes, candidates)} of the records in a checkpoint
     file that belong to this run's chunk list; records of another n, of
     another chunking or of another labelling (including records without a
     "labelling" field) are left alone, so those chunks are redone.
 
-    An unparsable final line is what a run killed mid-write leaves: it is
-    cut off and its chunk redone. An unparsable line before it is an error.
-    A final record without its newline gets one, so appends start a line.
+    A record is a JSON object with n, a, start and end, classes mapping
+    graph6 to a finite S_Q, and a candidate count of at least 0. A final
+    line that is no record is what a run killed mid-write leaves: it is cut
+    off and its chunk redone. Such a line before it is an error. A final
+    record without its newline gets one, so appends start a line.
     """
     done: dict[tuple[int, int, int], tuple[dict, int]] = {}
     if not os.path.exists(path):
@@ -402,10 +288,10 @@ def _read_checkpoint(path: str, n: int, wanted: set) -> dict:
                     ours = rec["n"] == n and key in wanted and rec.get("labelling") == _LABELLING
                     record = (rec["classes"], rec["candidates"])
                 except (ValueError, KeyError, TypeError):
+                    record = (None, None)
+                if not _valid_record(*record):
                     if number < len(lines):
-                        raise SpreadlabError(
-                            f"checkpoint {path}: line {number} is not a chunk record"
-                        ) from None
+                        raise SpreadlabError(f"checkpoint {path}: line {number} is not a chunk record")
                     fh.truncate(offset)
                     return done
                 if ours:
@@ -437,7 +323,7 @@ def _completed(chunks: list, threads: int):
 
 def check_conjecture(
     n: int,
-    threads: int | None = None,
+    threads: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
     checkpoint: str | None = None,
 ) -> ConjectureReport:
@@ -452,9 +338,7 @@ def check_conjecture(
         raise ValueError(f"conjecture check supports 2 <= n <= {CONJECTURE_MAX_N}, got {n}")
     if chunk_size < 1:
         raise ValueError(f"chunk size must be >= 1, got {chunk_size}")
-    if threads is None:
-        threads = _threads_from_env()
-    elif threads < 1:
+    if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     t0 = time.monotonic()
 
@@ -520,14 +404,3 @@ def check_conjecture(
         elapsed_seconds=time.monotonic() - t0,
         chunks=len(chunks),
     )
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("SPREADLAB_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SpreadlabError(f"SPREADLAB_THREADS must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise SpreadlabError(f"SPREADLAB_THREADS must be a positive integer, got {raw!r}")
-    return value

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -55,6 +56,15 @@ def random_connected_bipartite(rng: random.Random, n: int) -> Graph:
         g = Graph(n, edges)
         if is_connected(g):
             return g
+
+
+def names_balanced_complete_bipartite(g6: str) -> bool:
+    """Whether a graph6 string names K_{floor(n/2), ceil(n/2)}: read by
+    networkx and compared with its VF2 isomorphism test, which share no code
+    with spreadlab."""
+    g = nx.from_graph6_bytes(g6.encode())
+    n = g.number_of_nodes()
+    return nx.is_isomorphic(g, nx.complete_bipartite_graph(n // 2, n - n // 2))
 
 
 def random_cactus(rng: random.Random, n: int) -> Graph:

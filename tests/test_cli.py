@@ -3,6 +3,7 @@ import csv
 import io
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -219,6 +220,18 @@ def test_conjecture_cli_rejects_threads_below_one(capsys):
     for threads in ("0", "-3"):
         code, _, err = run(capsys, "conjecture", "--n", "4", "--threads", threads)
         assert code == EXIT_DOMAIN and "threads" in err
+
+
+@pytest.mark.parametrize("field, value", [("classes", []), ("candidates", "7")])
+def test_conjecture_cli_wrong_typed_checkpoint_record(tmp_path, capsys, field, value):
+    ckpt = tmp_path / "chk.jsonl"
+    argv = ["conjecture", "--n", "5", "--chunk-size", "3", "--checkpoint", str(ckpt)]
+    assert run(capsys, *argv)[0] == EXIT_OK
+    lines = ckpt.read_text().splitlines()
+    lines[0] = json.dumps(json.loads(lines[0]) | {field: value})
+    ckpt.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN and "line 1 " in err and "Traceback" not in err
 
 
 def test_version(capsys):

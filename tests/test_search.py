@@ -3,33 +3,21 @@ import dataclasses
 import itertools
 import json
 import os
-import random
 import subprocess
 import sys
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from spreadlab import (
-    Graph,
-    check_conjecture,
-    check_monotonicity,
-    complete,
-    complete_bipartite,
-    cycle,
-    enumerate_connected_bipartite,
-    isomorphic,
-    parse_graph6,
-    path,
-    star,
-    write_graph6,
-)
+from spreadlab import Graph, check_conjecture, check_monotonicity, enumerate_connected_bipartite, write_graph6
 import spreadlab
 from spreadlab import search
 from spreadlab.cli import main
 from spreadlab.errors import SpreadlabError
-from spreadlab.search import canonical_graph, canonical_graph6, canonical_key, canonical_labelling
 from spreadlab.spectral import KIND_DSL, spread
+
+from .conftest import names_balanced_complete_bipartite
 
 
 # ---------------------------------------------------------------------------
@@ -78,190 +66,6 @@ def oracle_bipartite_class_count(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# canonical form
-
-
-def test_canonical_labelling_is_permutation():
-    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    perm = canonical_labelling(g)
-    assert sorted(perm) == list(range(5))
-
-
-def test_canonical_invariant_under_relabelling(rng):
-    for _ in range(40):
-        n = rng.randint(2, 8)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
-        g = Graph(n, edges)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
-        assert canonical_key(g) == canonical_key(h)
-        assert canonical_graph(g) == canonical_graph(h)
-        assert isomorphic(g, h)
-
-
-def test_canonical_separates_non_isomorphic():
-    assert not isomorphic(path(4), star(4))
-    assert not isomorphic(cycle(6), complete_bipartite(3, 3))
-    # same degree sequence, different graphs: C_6 vs two triangles? (must be
-    # connected) use C_6 vs K_{3,3} minus a perfect matching (= C_6) -> skip;
-    # instead: two regular graphs of degree 3 on 8 vertices
-    cube = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
-                     (0, 4), (1, 5), (2, 6), (3, 7)])
-    k33_plus = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0),
-                         (0, 4), (1, 5), (2, 6), (3, 7)])
-    assert not isomorphic(cube, k33_plus)
-
-
-def test_canonical_graph6_deterministic():
-    g = complete_bipartite(2, 3)
-    assert canonical_graph6(g) == canonical_graph6(canonical_graph(g))
-
-
-# ---------------------------------------------------------------------------
-# twin pruning
-
-
-def unpruned_labelling(g: Graph) -> list[int]:
-    """Reference search without twin pruning: the permutation of the first
-    minimal leaf of the full backtracking tree."""
-    n, adj = g.n, g.adjacency
-    best: list = [None, None]
-
-    def visit(colors):
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
-        if target is None:
-            key = search._leaf_key(n, adj, colors)
-            if best[0] is None or key < best[0]:
-                best[:] = [key, list(colors)]
-            return
-        for v in target:
-            branched = [c + (1 if c > colors[v] or (c == colors[v] and u != v) else 0)
-                        for u, c in enumerate(colors)]
-            branched[v] = colors[v]
-            visit(search._refine(n, adj, branched))
-
-    visit(search._refine(n, adj, [g.degree(v) for v in range(n)]))
-    return best[1]
-
-
-def complete_multipartite(*parts: int) -> Graph:
-    label = [i for i, size in enumerate(parts) for _ in range(size)]
-    n = len(label)
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if label[u] != label[v]])
-
-
-def cocktail_party(k: int) -> Graph:
-    """K_2k minus the perfect matching {u, u + k}."""
-    return Graph(2 * k, [(u, v) for u in range(2 * k) for v in range(u + 1, 2 * k) if v != u + k])
-
-
-def crown(k: int) -> Graph:
-    """K_{k,k} minus the perfect matching {i, k + i}."""
-    return Graph(2 * k, [(i, k + j) for i in range(k) for j in range(k) if i != j])
-
-
-def spider(*legs: int) -> Graph:
-    """Star with centre 0 and a pendant path of each given length."""
-    edges, n = [], 1
-    for length in legs:
-        prev = 0
-        for _ in range(length):
-            edges.append((prev, n))
-            prev, n = n, n + 1
-    return Graph(n, edges)
-
-
-def complement(g: Graph) -> Graph:
-    return Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in g.edges])
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    return Graph(g.n + h.n, list(g.edges) + [(g.n + u, g.n + v) for u, v in h.edges])
-
-
-def relabelled(g: Graph, rng) -> Graph:
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-
-
-CUBE = crown(4)
-WAGNER = Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
-
-TWIN_RICH = (
-    [complete_bipartite(a, b) for a, b in ((1, 1), (1, 5), (2, 2), (2, 5), (3, 3), (3, 4), (4, 4))]
-    + [complete(n) for n in (1, 2, 5, 6)]
-    + [complete_multipartite(*parts) for parts in ((1, 2, 3), (2, 2, 2), (1, 1, 3, 3), (2, 3, 3))]
-    + [cocktail_party(k) for k in (2, 3, 4)]
-    + [crown(k) for k in (3, 4, 5)]
-    + [spider(*legs) for legs in ((1, 1, 1, 2, 2), (2, 2, 2), (1, 1, 3, 3), (1, 1, 1, 1, 1, 2))]
-    + [disjoint_union(complete(4), complete(4)), complement(CUBE)]
-)
-
-# Non-isomorphic graphs of equal order and size. On the regular ones colour
-# refinement leaves one cell that is not an orbit, so the search itself must
-# tell them apart, and pruning any branch but a twin's would change the key.
-NON_ISOMORPHIC_GROUPS = [
-    [complete_bipartite(3, 3), Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
-                                         (0, 3), (1, 4), (2, 5)])],
-    [CUBE, WAGNER, disjoint_union(complete(4), complete(4))],
-    [complete_bipartite(4, 4), complement(CUBE), complement(WAGNER)],
-    [cycle(8), disjoint_union(cycle(4), cycle(4)), disjoint_union(cycle(5), cycle(3))],
-    [complete_multipartite(2, 2, 2), complete_multipartite(1, 1, 1, 3)],
-    [spider(1, 1, 2, 2), spider(1, 1, 1, 3), spider(2, 2, 2), spider(1, 2, 3)],
-]
-# the Frucht graph: 3-regular, with no automorphism but the identity
-FRUCHT = Graph(12, [(i, (i + 1) % 12) for i in range(12)]
-               + [(i, (i + d) % 12) for i, d in enumerate((-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2))])
-SEARCH_CASES = TWIN_RICH + [g for group in NON_ISOMORPHIC_GROUPS for g in group] + [FRUCHT]
-
-
-def test_twin_rich_keys_invariant_under_relabelling(rng):
-    for g in SEARCH_CASES:
-        key, canon = canonical_key(g), canonical_graph(g)
-        for _ in range(5):
-            h = relabelled(g, rng)
-            assert canonical_key(h) == key
-            assert canonical_graph(h) == canon
-
-
-def test_twin_pruning_keeps_the_first_minimal_leaf(rng):
-    graphs = SEARCH_CASES + [relabelled(g, rng) for g in SEARCH_CASES]
-    for _ in range(200):
-        n = rng.randint(1, 8)
-        p = rng.choice([0.2, 0.5, 0.8])
-        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
-    for g in graphs:
-        assert canonical_labelling(g) == unpruned_labelling(g), g.sorted_edges()
-
-
-def test_twin_rich_non_isomorphic_graphs_get_different_keys():
-    for group in NON_ISOMORPHIC_GROUPS:
-        keys = [canonical_key(g) for g in group]
-        assert len(set(keys)) == len(keys)
-    # the same graph built two ways: C10(1, 3) is K_{5,5} minus a matching
-    c10_13 = Graph(10, [(i, (i + s) % 10) for i in range(10) for s in (1, 3)])
-    assert isomorphic(c10_13, crown(5))
-
-
-def test_twin_pruning_visits_one_leaf_on_complete_bipartite(monkeypatch):
-    leaves = []
-    leaf_key = search._leaf_key
-
-    def counted(*args):
-        leaves.append(args)
-        return leaf_key(*args)
-
-    monkeypatch.setattr(search, "_leaf_key", counted)
-    canonical_key(complete_bipartite(4, 5))
-    assert len(leaves) == 1  # 4! * 5! = 2880 without pruning
-
-
-# ---------------------------------------------------------------------------
 # enumeration
 
 
@@ -277,11 +81,17 @@ def test_enumeration_counts_frozen():
         assert sum(1 for _ in enumerate_connected_bipartite(n)) == k
 
 
+def networkx_graph(g: Graph) -> nx.Graph:
+    h = nx.empty_graph(g.n)
+    h.add_edges_from(g.edges)
+    return h
+
+
 def test_enumeration_deterministic_and_pairwise_non_isomorphic():
-    first = [canonical_key(g) for g in enumerate_connected_bipartite(6)]
-    second = [canonical_key(g) for g in enumerate_connected_bipartite(6)]
-    assert first == second
-    assert len(set(first)) == len(first)
+    first = list(enumerate_connected_bipartite(6))
+    assert first == list(enumerate_connected_bipartite(6))
+    graphs = [networkx_graph(g) for g in first]
+    assert not any(nx.is_isomorphic(g, h) for g, h in itertools.combinations(graphs, 2))
 
 
 def test_enumeration_range_check():
@@ -443,13 +253,30 @@ def test_class_keys_match_scalar_reference(block, monkeypatch):
                 (n, a)
 
 
+def degree_profile(g: nx.Graph) -> tuple:
+    """Each vertex's degree with its neighbours' sorted degrees, sorted: an
+    isomorphism invariant."""
+    return tuple(sorted((d, tuple(sorted(g.degree(u) for u in g[v]))) for v, d in g.degree))
+
+
 def test_class_keys_are_exact_against_the_general_labeller():
-    # equal class keys exactly when the general canonical keys are equal
+    # equal class keys exactly when the graphs are isomorphic, by networkx's
+    # VF2 test: each form's graph is isomorphic to the graph read off its
+    # key, and graphs read off distinct keys are pairwise non-isomorphic.
+    # Graphs with different degree profiles are not isomorphic, so only
+    # graphs with equal ones are compared
     for n in range(2, 10):
-        pairs = {(a, key, canonical_key(graph_from_rows(a, b, unpacked(a, b, form))))
-                 for a, b, forms in all_forms(n)
-                 for form, key in zip(forms, search._class_keys(a, b, forms))}
-        assert len({p[:2] for p in pairs}) == len({p[2] for p in pairs}) == len(pairs), n
+        seen: dict[tuple, list[nx.Graph]] = {}
+        for a, b, forms in all_forms(n):
+            keys = search._class_keys(a, b, forms)
+            for form, key in zip(forms, keys):
+                assert nx.is_isomorphic(networkx_graph(graph_from_rows(a, b, unpacked(a, b, form))),
+                                        networkx_graph(key_graph(a, b, key))), (n, a, form)
+            for key in dict.fromkeys(keys):
+                g = networkx_graph(key_graph(a, b, key))
+                bucket = seen.setdefault(degree_profile(g), [])
+                assert not any(nx.is_isomorphic(g, h) for h in bucket), (n, a, key)
+                bucket.append(g)
 
 
 def reference_run_chunk(args):
@@ -489,12 +316,8 @@ def memos_empty() -> bool:
 @pytest.mark.parametrize("chunk_size", [search.DEFAULT_CHUNK, 97])
 def test_conjecture_labels_each_form_and_solves_each_class_once(chunk_size, monkeypatch):
     # at chunk size 97, forms and classes recur across chunks
-    labelled, keyed, solved = [], [], []
-    canonical, class_keys, solve = search._canonical, search._class_keys, search.spread
-
-    def counted_canonical(n, adj):
-        labelled.append(n)
-        return canonical(n, adj)
+    keyed, solved = [], []
+    class_keys, solve = search._class_keys, search.spread
 
     def counted_class_keys(a, b, forms):
         keyed.extend((a, form) for form in forms)
@@ -504,12 +327,10 @@ def test_conjecture_labels_each_form_and_solves_each_class_once(chunk_size, monk
         solved.append(g.n)
         return solve(g, kind)
 
-    monkeypatch.setattr(search, "_canonical", counted_canonical)
     monkeypatch.setattr(search, "_class_keys", counted_class_keys)
     monkeypatch.setattr(search, "spread", counted_spread)
     report = check_conjecture(8, threads=1, chunk_size=chunk_size)
-    # the general labeller is not used; each chunk keys its distinct forms once
-    assert labelled == []
+    # each chunk keys its distinct forms once
     assert len(keyed) == sum(len(search._chunk_forms(a, 8 - a, start, end)[1])
                              for _, a, start, end in chunks(8, chunk_size))
     assert set(keyed) == {(a, f) for a, _, forms in all_forms(8) for f in forms}
@@ -540,8 +361,7 @@ def test_conjecture_holds_small(n):
     report = check_conjecture(n)
     assert report.verdict == "holds"
     assert not report.counterexamples
-    minimizer = report.minimizer_graph6
-    assert isomorphic(parse_graph6(minimizer), complete_bipartite(n // 2, n - n // 2))
+    assert names_balanced_complete_bipartite(report.minimizer_graph6)
 
 
 def test_conjecture_range_check():
@@ -554,7 +374,7 @@ def test_conjecture_n9_serial_and_parallel_agree():
     parallel = check_conjecture(9, threads=2)
     assert report_fields(parallel) == report_fields(serial)
     assert (serial.graphs_checked, serial.candidates, serial.verdict) == (730, 49333, "holds")
-    assert isomorphic(parse_graph6(serial.minimizer_graph6), complete_bipartite(4, 5))
+    assert names_balanced_complete_bipartite(serial.minimizer_graph6)
 
 
 def test_conjecture_checkpoint_resume(tmp_path):
@@ -639,16 +459,20 @@ def test_conjecture_checkpoint_names_each_class_once(tmp_path):
 
 
 def old_run_chunk(args):
-    """A chunk as recorded before records carried a labelling: classes named
-    by the canonical graph6 of the general labeller."""
+    """A chunk as recorded in another labelling, as by versions before
+    records carried one: each class named by the graph6 of its first
+    candidate and solved on that graph."""
     n, a, start, end = args
     b = n - a
-    classes, candidates = {}, 0
+    classes, seen, candidates = {}, set(), 0
     for rows in itertools.islice(search._row_tuples(a, b), start, end):
         if rows_connected(a, b, rows):
             candidates += 1
-            g = canonical_graph(graph_from_rows(a, b, rows))
-            classes.setdefault(canonical_graph6(g), spread(g, KIND_DSL).spread)
+            key = reference_class_key(a, b, rows)
+            if key not in seen:
+                seen.add(key)
+                g = graph_from_rows(a, b, rows)
+                classes[write_graph6(g)] = spread(g, KIND_DSL).spread
     return a, start, end, classes, candidates
 
 
@@ -704,6 +528,31 @@ def test_conjecture_rejects_unparsable_checkpoint_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+# a record with every field, one of them of a wrong type
+WRONG_TYPED = [("classes", []), ("candidates", "7"), ("classes", {"A_": True}), ("classes", {"A_": float("nan")}),
+               ("candidates", -1), ("candidates", True), ("candidates", 7.0)]
+
+
+def write_records(path, records) -> None:
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+@pytest.mark.parametrize("field, value", WRONG_TYPED)
+def test_conjecture_wrong_typed_checkpoint_record(tmp_path, field, value):
+    fresh = check_conjecture(5, chunk_size=3)
+    ckpt = tmp_path / "chk.jsonl"
+    check_conjecture(5, chunk_size=3, checkpoint=str(ckpt))
+    records = checkpoint_records(ckpt)
+    # before the last line it is an error naming the line
+    write_records(ckpt, [records[0] | {field: value}] + records[1:])
+    with pytest.raises(SpreadlabError, match="line 1 "):
+        check_conjecture(5, chunk_size=3, checkpoint=str(ckpt))
+    # as the last line it is cut off and its chunk redone
+    write_records(ckpt, records[:-1] + [records[-1] | {field: value}])
+    assert report_fields(check_conjecture(5, chunk_size=3, checkpoint=str(ckpt))) == report_fields(fresh)
+    assert checkpoint_records(ckpt) == records
+
+
 def test_conjecture_parallel_matches_serial(tmp_path):
     serial = check_conjecture(6, threads=1)
     ckpt = tmp_path / "chk.jsonl"
@@ -753,21 +602,6 @@ def test_import_leaves_multiprocessing_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
-
-
-def test_threads_env(monkeypatch):
-    from spreadlab.search import _threads_from_env
-
-    monkeypatch.setenv("SPREADLAB_THREADS", "4")
-    assert _threads_from_env() == 4
-    monkeypatch.setenv("SPREADLAB_THREADS", "zero")
-    with pytest.raises(SpreadlabError):
-        _threads_from_env()
-    monkeypatch.setenv("SPREADLAB_THREADS", "0")
-    with pytest.raises(SpreadlabError):
-        _threads_from_env()
-    monkeypatch.delenv("SPREADLAB_THREADS")
-    assert _threads_from_env() == 1
 
 
 def test_conjecture_rejects_chunk_size_below_one():
