@@ -17,6 +17,7 @@ import numpy as np
 from .errors import NumericError
 
 GROUP_TOL = 1e-8
+SYMMETRY_TOL = 1e-9
 
 
 class SymMatrix:
@@ -29,7 +30,7 @@ class SymMatrix:
 
     __slots__ = ("n", "array")
 
-    def __init__(self, rows: Sequence[Sequence], _check_tol: float = 1e-9):
+    def __init__(self, rows: Sequence[Sequence]):
         arr = np.array(rows, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
@@ -41,7 +42,7 @@ class SymMatrix:
             skew = float(np.abs(arr - arr.T).max(initial=0.0))
         if not np.isfinite(sym).all():
             raise NumericError(f"matrix of order {arr.shape[0]} has a non-finite entry")
-        if skew > _check_tol * max(1.0, float(np.abs(arr).max(initial=0.0))):
+        if skew > SYMMETRY_TOL * max(1.0, float(np.abs(arr).max(initial=0.0))):
             raise ValueError("matrix is not symmetric")
         self.n = arr.shape[0]
         self.array = sym
@@ -69,12 +70,13 @@ class Spectrum:
     def least(self) -> float:
         return self.values[-1]
 
-    def multiplicities(self, tau: float = GROUP_TOL) -> list[tuple[float, int]]:
-        """Group near-equal eigenvalues; each group reports its mean value."""
+    def multiplicities(self) -> list[tuple[float, int]]:
+        """Group eigenvalues less than GROUP_TOL apart; each group reports its
+        mean value."""
         groups: list[tuple[float, int]] = []
         run: list[float] = []
         for v in self.values:
-            if run and abs(run[-1] - v) > tau:
+            if run and abs(run[-1] - v) > GROUP_TOL:
                 groups.append((sum(run) / len(run), len(run)))
                 run = []
             run.append(v)

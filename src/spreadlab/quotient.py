@@ -13,6 +13,8 @@ from fractions import Fraction
 
 from .linalg import Spectrum
 
+INTERLACING_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class QuotientMatrix:
@@ -39,8 +41,9 @@ class InterlacingResult:
         return self.ok
 
 
-def interlaces(outer: Spectrum, inner: Spectrum, tol: float = 1e-8) -> InterlacingResult:
-    """Check lambda_i + tol >= mu_i >= lambda_{n-m+i} - tol for all i.
+def interlaces(outer: Spectrum, inner: Spectrum) -> InterlacingResult:
+    """Check lambda_i + tol >= mu_i >= lambda_{n-m+i} - tol for all i, with
+    tol = INTERLACING_TOL.
 
     This is the interlacing the paper's quotient bounds rest on: the
     eigenvalues mu of a quotient matrix (or of a principal submatrix)
@@ -56,8 +59,8 @@ def interlaces(outer: Spectrum, inner: Spectrum, tol: float = 1e-8) -> Interlaci
         lam_hi = outer.values[i]
         lam_lo = outer.values[n - m + i]
         mu = inner.values[i]
-        if mu > lam_hi + tol:
+        if mu > lam_hi + INTERLACING_TOL:
             return InterlacingResult(False, index=i + 1, slack=mu - lam_hi)
-        if mu < lam_lo - tol:
+        if mu < lam_lo - INTERLACING_TOL:
             return InterlacingResult(False, index=i + 1, slack=lam_lo - mu)
     return InterlacingResult(True)

@@ -12,11 +12,13 @@ the least, over the a! row orders, of the matrix with its columns sorted and
 packed into one integer, and for a = b also of its transpose. A connected
 bipartite graph has one bipartition, so equal keys mean one class; the a!
 orders keep this to small a (a <= 5 for n <= CONJECTURE_MAX_N). This key is
-the package's only isomorphism code. Each process eigensolves each class
-once, on the graph read off its key: at n = 9 serially, 730 solves for
-49,333 candidates. Work is chunked by (a, combination range) so runs can be
-parallelised, and each finished chunk is appended to an optional checkpoint
-file at once, naming only the classes no earlier record of the run holds.
+the package's only isomorphism code. Work is chunked by (a, combination
+range), and a chunk returns only its class keys, so chunks can run on a pool
+of workers that hold no state. The calling process names each class by the
+graph6 of the graph read off its key and eigensolves it once, on that graph,
+whichever chunk or worker met it: 730 solves for 49,333 candidates at n = 9.
+Each finished chunk is appended to an optional checkpoint file at once,
+naming only the classes no earlier record of the run holds.
 """
 
 from __future__ import annotations
@@ -171,10 +173,8 @@ def enumerate_connected_bipartite(n: int):
     if not (2 <= n <= CONJECTURE_MAX_N):
         raise ValueError(f"enumeration supports 2 <= n <= {CONJECTURE_MAX_N}, got {n}")
     for a in range(1, n // 2 + 1):
-        b = n - a
-        forms = _chunk_forms(a, b, 0, _count_row_tuples(a, b))[1]
-        for key in dict.fromkeys(_class_keys(a, b, forms)):
-            yield _key_graph(a, b, key)
+        for key in _run_chunk((n, a, 0, _count_row_tuples(a, n - a)))[3]:
+            yield _key_graph(a, n - a, key)
 
 
 # ---------------------------------------------------------------------------
@@ -210,47 +210,22 @@ class ConjectureReport:
     chunks: int
 
 
-def _chunk_ranges(total: int, chunk_size: int):
-    start = 0
-    while start < total:
-        yield start, min(start + chunk_size, total)
-        start += chunk_size
-
-
 def _count_row_tuples(a: int, b: int) -> int:
     # C(2^b - 1 + a - 1, a)
-    from math import comb
-    return comb((1 << b) - 1 + a - 1, a)
+    return math.comb((1 << b) - 1 + a - 1, a)
 
 
-# Per-process memo for one check_conjecture call: (n, a, class key) ->
-# (graph6, S_Q). A pool worker keeps it across all the chunks it runs, so it
-# names and solves each class once; forked workers inherit it empty, since
-# check_conjecture clears it before the pool starts and again when it
-# returns or raises. Each entry is a function of its key alone, so what a
-# chunk reports does not depend on which chunks ran before it in the same
-# process.
-_classes: dict[tuple[int, int, int], tuple[str, float]] = {}
+def _run_chunk(args) -> tuple[int, int, int, list[int], int]:
+    """The classes met in one (a, range) chunk, as class keys.
 
-
-def _run_chunk(args) -> tuple[int, int, int, dict, int]:
-    """Worker: the classes found in one (a, range) chunk.
-
-    Returns (a, start, end, {graph6: S_Q}, candidates examined). Classes
-    come in order of their first candidate; each is named and solved on the
-    graph read off its class key.
+    Returns (a, start, end, class keys, candidates examined), the keys in
+    order of their first candidate. It is a pure function of its chunk, so
+    a pool worker holds no state; check_conjecture names and solves each
+    class.
     """
     n, a, start, end = args
-    b = n - a
-    candidates, forms = _chunk_forms(a, b, start, end)
-    classes: dict[str, float] = {}
-    for key in dict.fromkeys(_class_keys(a, b, forms)):
-        named = _classes.get((n, a, key))
-        if named is None:
-            sq = spread(_key_graph(a, b, key), KIND_DSL).spread
-            named = _classes[(n, a, key)] = (_key_graph6(a, b, key), sq)
-        classes[named[0]] = named[1]
-    return a, start, end, classes, candidates
+    candidates, forms = _chunk_forms(a, n - a, start, end)
+    return a, start, end, list(dict.fromkeys(_class_keys(a, n - a, forms))), candidates
 
 
 def _valid_record(classes, candidates) -> bool:
@@ -343,40 +318,40 @@ def check_conjecture(
     t0 = time.monotonic()
 
     chunks = [
-        (n, a, start, end)
+        (n, a, start, min(start + chunk_size, total))
         for a in range(1, n // 2 + 1)
-        for start, end in _chunk_ranges(_count_row_tuples(a, n - a), chunk_size)
+        for total in (_count_row_tuples(a, n - a),)
+        for start in range(0, total, chunk_size)
     ]
     done = _read_checkpoint(checkpoint, n, {c[1:] for c in chunks}) if checkpoint else {}
     pending = [c for c in chunks if c[1:] not in done]
-    # classes some record of this run on file already holds; a new record
-    # names only the others, and done keeps every chunk's full map
-    written = {g6 for classes, _ in done.values() for g6 in classes}
-    _classes.clear()
-    try:
-        with open(checkpoint, "a") if checkpoint else nullcontext() as ckpt_fh:
-            for a, start, end, classes, candidates in _completed(pending, threads):
-                done[(a, start, end)] = (classes, candidates)
-                if ckpt_fh:
-                    new = {g6: sq for g6, sq in classes.items() if g6 not in written}
-                    written.update(new)
-                    ckpt_fh.write(json.dumps({
-                        "n": n, "labelling": _LABELLING, "a": a, "start": start, "end": end,
-                        "classes": new, "candidates": candidates,
-                    }) + "\n")
-                    ckpt_fh.flush()
-                    os.fsync(ckpt_fh.fileno())
-    finally:
-        _classes.clear()
-
-    merged: dict[str, float] = {}
+    # this run's classes, graph6 -> S_Q: those its records on file name, then
+    # each new one as the first chunk that meets it completes; a new record
+    # names only classes that are not here yet
+    classes: dict[str, float] = {}
     candidates_total = 0
-    for key in sorted(done):
-        classes, candidates = done[key]
+    for named, candidates in done.values():
+        classes.update(named)
         candidates_total += candidates
-        for g6, sq in classes.items():
-            if g6 not in merged:
-                merged[g6] = sq
+    # (a, class key) already named, so each key is encoded once
+    seen: set[tuple[int, int]] = set()
+    with open(checkpoint, "a") if checkpoint else nullcontext() as ckpt_fh:
+        for a, start, end, keys, candidates in _completed(pending, threads):
+            candidates_total += candidates
+            new = {}
+            for key in keys:
+                if (a, key) not in seen:
+                    seen.add((a, key))
+                    g6 = _key_graph6(a, n - a, key)
+                    if g6 not in classes:
+                        new[g6] = classes[g6] = spread(_key_graph(a, n - a, key), KIND_DSL).spread
+            if ckpt_fh:
+                ckpt_fh.write(json.dumps({
+                    "n": n, "labelling": _LABELLING, "a": a, "start": start, "end": end,
+                    "classes": new, "candidates": candidates,
+                }) + "\n")
+                ckpt_fh.flush()
+                os.fsync(ckpt_fh.fileno())
 
     a0 = n // 2
     reference = spread(complete_bipartite(a0, n - a0), KIND_DSL).spread
@@ -384,17 +359,17 @@ def check_conjecture(
     reference_g6 = _key_graph6(a0, n - a0, (1 << a0 * (n - a0)) - 1)
 
     counterexamples = []
-    for g6, sq in sorted(merged.items()):
+    for g6, sq in sorted(classes.items()):
         if sq < reference - EQUALITY_TOL:
             counterexamples.append((g6, sq))
         elif abs(sq - reference) <= EQUALITY_TOL and g6 != reference_g6:
             # a near-tie must be the extremal graph itself
             counterexamples.append((g6, sq))
-    minimizer_g6, minimizer_sq = min(merged.items(), key=lambda kv: (kv[1], kv[0]))
+    minimizer_g6, minimizer_sq = min(classes.items(), key=lambda kv: (kv[1], kv[0]))
 
     return ConjectureReport(
         n=n,
-        graphs_checked=len(merged),
+        graphs_checked=len(classes),
         candidates=candidates_total,
         minimizer_graph6=minimizer_g6,
         minimizer_spread=minimizer_sq,

@@ -201,8 +201,9 @@ def test_sorted_forms_are_the_doubly_sorted_matrices():
 
 def chunks(n: int, chunk_size: int):
     for a in range(1, n // 2 + 1):
-        for start, end in search._chunk_ranges(search._count_row_tuples(a, n - a), chunk_size):
-            yield n, a, start, end
+        total = search._count_row_tuples(a, n - a)
+        for start in range(0, total, chunk_size):
+            yield n, a, start, min(start + chunk_size, total)
 
 
 @pytest.mark.parametrize("chunk_size, block", [(search.DEFAULT_CHUNK, search._BLOCK), (97, search._BLOCK),
@@ -280,63 +281,73 @@ def test_class_keys_are_exact_against_the_general_labeller():
 
 
 def reference_run_chunk(args):
-    """_run_chunk without sorted forms, numpy or memos: every candidate keyed
-    with reference_class_key, the class written as the graph6 of the graph
-    read off its key and solved on that graph."""
+    """_run_chunk without sorted forms or numpy: every candidate keyed with
+    reference_class_key, each key kept at its first candidate."""
     n, a, start, end = args
     b = n - a
-    classes, seen, candidates = {}, set(), 0
+    keys, candidates = [], 0
     for rows in itertools.islice(search._row_tuples(a, b), start, end):
-        if not rows_connected(a, b, rows):
-            continue
-        candidates += 1
-        key = reference_class_key(a, b, rows)
-        if key not in seen:
-            seen.add(key)
-            g = key_graph(a, b, key)
-            classes[write_graph6(g)] = spread(g, KIND_DSL).spread
-    return a, start, end, classes, candidates
+        if rows_connected(a, b, rows):
+            candidates += 1
+            key = reference_class_key(a, b, rows)
+            if key not in keys:
+                keys.append(key)
+    return a, start, end, keys, candidates
 
 
 @pytest.mark.parametrize("chunk_size", [search.DEFAULT_CHUNK, 97])
 def test_run_chunk_matches_labelling_every_candidate(chunk_size):
+    # the same keys in the same order, and the same candidate count
     for n in range(2, 9):
         for chunk in chunks(n, chunk_size):
-            got, want = search._run_chunk(chunk), reference_run_chunk(chunk)
-            assert got[:3] == want[:3] and got[4] == want[4], chunk
-            # same classes in the same order, S_Q bit for bit
-            assert [(g6, sq.hex()) for g6, sq in got[3].items()] == \
-                [(g6, sq.hex()) for g6, sq in want[3].items()], chunk
+            assert search._run_chunk(chunk) == reference_run_chunk(chunk), chunk
 
 
-def memos_empty() -> bool:
-    return not search._classes
+def test_conjecture_checkpoints_name_and_solve_each_class_on_its_key_graph(tmp_path):
+    # every class is written as the graph6 of the graph read off its
+    # reference key and solved on that graph, S_Q bit for bit
+    for n in range(2, 9):
+        want = {}
+        for a in range(1, n // 2 + 1):
+            for key in reference_run_chunk((n, a, 0, search._count_row_tuples(a, n - a)))[3]:
+                g = key_graph(a, n - a, key)
+                want[write_graph6(g)] = spread(g, KIND_DSL).spread.hex()
+        for chunk_size in (search.DEFAULT_CHUNK, 97):
+            ckpt = tmp_path / f"chk-{n}-{chunk_size}.jsonl"
+            check_conjecture(n, chunk_size=chunk_size, checkpoint=str(ckpt))
+            named = [(g6, sq.hex()) for r in checkpoint_records(ckpt) for g6, sq in r["classes"].items()]
+            assert len(named) == len(want) and dict(named) == want, (n, chunk_size)
 
 
 @pytest.mark.parametrize("chunk_size", [search.DEFAULT_CHUNK, 97])
-def test_conjecture_labels_each_form_and_solves_each_class_once(chunk_size, monkeypatch):
-    # at chunk size 97, forms and classes recur across chunks
-    keyed, solved = [], []
+def test_conjecture_labels_each_form_and_solves_each_class_once(chunk_size, monkeypatch, tmp_path):
+    # at chunk size 97, forms and classes recur across chunks. Chunks run on
+    # two workers, which append the forms they key to a file; every class is
+    # solved in this process
+    log, solved, caller = tmp_path / "keyed", [], os.getpid()
     class_keys, solve = search._class_keys, search.spread
 
     def counted_class_keys(a, b, forms):
-        keyed.extend((a, form) for form in forms)
+        with open(log, "a") as fh:
+            fh.write("".join(f"{a} {form}\n" for form in forms))
         return class_keys(a, b, forms)
 
-    def counted_spread(g, kind):
+    def caller_spread(g, kind):
+        if os.getpid() != caller:
+            raise RuntimeError("a pool worker solved a class")
         solved.append(g.n)
         return solve(g, kind)
 
     monkeypatch.setattr(search, "_class_keys", counted_class_keys)
-    monkeypatch.setattr(search, "spread", counted_spread)
-    report = check_conjecture(8, threads=1, chunk_size=chunk_size)
+    monkeypatch.setattr(search, "spread", caller_spread)
+    report = check_conjecture(8, threads=2, chunk_size=chunk_size)
     # each chunk keys its distinct forms once
+    keyed = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
     assert len(keyed) == sum(len(search._chunk_forms(a, 8 - a, start, end)[1])
                              for _, a, start, end in chunks(8, chunk_size))
     assert set(keyed) == {(a, f) for a, _, forms in all_forms(8) for f in forms}
     # the K_{4,4} reference is solved once more
     assert len(solved) == report.graphs_checked + 1 == 183
-    assert memos_empty()
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +424,6 @@ def test_conjecture_checkpoints_each_chunk_as_it_completes(tmp_path, monkeypatch
     monkeypatch.setattr(search, "_run_chunk", killed_after_four)
     with pytest.raises(RuntimeError, match="killed"):
         check_conjecture(6, chunk_size=3, checkpoint=str(ckpt))
-    assert memos_empty()
     records = [json.loads(line) for line in ckpt.read_text().splitlines()]
     assert [(r["a"], r["start"], r["end"]) for r in records] == [c[1:] for c in calls]
     monkeypatch.setattr(search, "_run_chunk", run_chunk)
