@@ -31,7 +31,6 @@ METHOD_BIPARTITE_DSL = "bipartite_dsl"
 METHOD_CLIQUE = "clique"
 METHOD_DIAMETER = "diameter"
 METHOD_CACTUS = "cactus"
-METHOD_LEGACY = "legacy_2012"
 
 # Matrix entries one numpy gather of witness rows may hold (8 MB of int64),
 # so a bound's memory stays flat in its witness count.

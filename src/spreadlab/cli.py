@@ -24,7 +24,7 @@ from .bounds import (
 )
 from .errors import SpreadlabError
 from .graph import Graph, builtin, generate, parse_edge_list, parse_graph6
-from .search import DEFAULT_CHUNK, check_conjecture
+from .search import check_conjecture
 from .spectral import spread
 from .tables import verify_tables
 
@@ -254,12 +254,7 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    report = check_conjecture(
-        args.n,
-        threads=args.threads,
-        chunk_size=args.chunk_size,
-        checkpoint=args.checkpoint,
-    )
+    report = check_conjecture(args.n, threads=args.threads, checkpoint=args.checkpoint)
     plain = [
         f"n={report.n}: {report.graphs_checked} connected bipartite classes "
         f"({report.candidates} labelled candidates, {report.chunks} chunks, "
@@ -318,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjecture", help="exhaustive minimum-spread check over bipartite classes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--threads", type=int, default=1, help="parallel workers (default: 1)")
-    p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK)
     p.add_argument("--checkpoint", metavar="PATH",
                    help="JSON-lines checkpoint file for resumable runs")
     _add_output_flags(p)

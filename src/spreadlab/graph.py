@@ -58,9 +58,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 
@@ -154,23 +151,18 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def write_graph6(g: Graph, header: bool = False) -> str:
+def write_graph6(g: Graph) -> str:
     """Encode a graph in graph6 format (bit-exact standard encoding)."""
-    adj = g.adjacency
-    bits = [1 if v in adj[u] else 0 for v in range(1, g.n) for u in range(v)]
-    return (GRAPH6_HEADER if header else "") + _encode_graph6(g.n, bits)
-
-
-def _encode_graph6(n: int, bits: list[int]) -> str:
-    """graph6 text of the graph on n vertices whose upper-triangle bits, in
-    column order (0,1), (0,2), (1,2), (0,3), ..., are bits."""
+    n, adj = g.n, g.adjacency
     if n <= 62:
         prefix = chr(n + 63)
     elif n <= 258047:
         prefix = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
         prefix = "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
-    bits = bits + [0] * (-len(bits) % 6)
+    # upper triangle, column-major: (0,1), (0,2), (1,2), (0,3), ...
+    bits = [1 if v in adj[u] else 0 for v in range(1, n) for u in range(v)]
+    bits += [0] * (-len(bits) % 6)
     body = "".join(
         chr(63 + (bits[i] << 5 | bits[i + 1] << 4 | bits[i + 2] << 3 | bits[i + 3] << 2 | bits[i + 4] << 1 | bits[i + 5]))
         for i in range(0, len(bits), 6)

@@ -4,21 +4,21 @@ Connected bipartite graphs are enumerated one isomorphism class each: for a
 part split a + b = n the biadjacency rows are generated as non-decreasing
 bitmask tuples (a cheap exact reduction of labelled duplicates). The tuples
 are read in numpy blocks; one vectorised pass per block drops the
-disconnected ones and brings the rest to a sorted form by sorting
-biadjacency columns and rows until they stay sorted. Every step permutes
-rows or columns, so candidates with equal forms are in one class. A second
+disconnected ones and brings the rest to a sorted form by sorting the
+biadjacency columns once and then the rows once. Both sorts permute rows or
+columns, so candidates with equal forms are in one class. A second
 vectorised pass gives each of a chunk's distinct forms its exact class key:
 the least, over the a! row orders, of the matrix with its columns sorted and
 packed into one integer, and for a = b also of its transpose. A connected
 bipartite graph has one bipartition, so equal keys mean one class; the a!
 orders keep this to small a (a <= 5 for n <= CONJECTURE_MAX_N). This key is
-the package's only isomorphism code. Work is chunked by (a, combination
-range), and a chunk returns only its class keys, so chunks can run on a pool
-of workers that hold no state. The calling process names each class by the
-graph6 of the graph read off its key and eigensolves it once, on that graph,
-whichever chunk or worker met it: 730 solves for 49,333 candidates at n = 9.
-Each finished chunk is appended to an optional checkpoint file at once,
-naming only the classes no earlier record of the run holds.
+the package's only isomorphism code. Work is chunked by (a, range of _CHUNK
+row tuples), and a chunk returns only its class keys, so chunks can run on a
+pool of workers that hold no state. The calling process names each class by
+the graph6 of the graph read off its key and eigensolves it once, on that
+graph, whichever chunk or worker met it: 730 solves for 49,333 candidates at
+n = 9. Each finished chunk is appended to an optional checkpoint file at
+once, naming only the classes no earlier record of the run holds.
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ from itertools import chain, combinations_with_replacement, islice, permutations
 import numpy as np
 
 from .errors import SpreadlabError
-from .graph import Graph, _encode_graph6, complete_bipartite
+from .graph import Graph, complete_bipartite, write_graph6
 from .spectral import KIND_DSL, kab_q_extremes, spread
 
 CONJECTURE_MAX_N = 10
 EQUALITY_TOL = 1e-6
-DEFAULT_CHUNK = 20000
 # checkpoint records carry the labelling that named their classes; records
 # named by another one are another run's, since their graph6 strings differ
 _LABELLING = "sorted-columns"
@@ -62,6 +61,8 @@ def _spread_table(width: int, stride: int) -> np.ndarray:
 
 # row tuples per numpy pass; bounds the kernel's temporaries
 _BLOCK = 4096
+# row tuples per chunk: the unit of pool work and of checkpoint records
+_CHUNK = 20000
 
 
 def _chunk_forms(a: int, b: int, start: int, end: int) -> tuple[int, list[int]]:
@@ -69,15 +70,13 @@ def _chunk_forms(a: int, b: int, start: int, end: int) -> tuple[int, list[int]]:
     candidate) among row tuples start..end of _row_tuples(a, b).
 
     A form is a candidate's biadjacency matrix after sorting its columns (as
-    bitmasks over the rows) and then its rows, repeated until the rows stay
-    sorted, packed as one integer with row i at bit i * b. Every step permutes
-    rows or columns, so equal forms come only from one isomorphism class. Both
-    sorts put the larger mask last, so neither makes the matrix smaller when
-    it is read as one binary number from its last row and column, and a row
-    sort that moves anything makes it larger: the loop ends. Transposing is
-    a table lookup: OR-ing each row's _spread_table(b, a) entry, shifted by
-    the row's index, gives one integer holding column j at bit j * a. For
-    n <= CONJECTURE_MAX_N these a * b bits fit an int64.
+    bitmasks over the rows) once and then its rows once, packed as one
+    integer with row i at bit i * b. Both sorts permute rows or columns, so
+    equal forms come only from one isomorphism class; a class may still have
+    several forms, and _class_keys joins them. Transposing is a table lookup:
+    OR-ing each row's _spread_table(b, a) entry, shifted by the row's index,
+    gives one integer holding column j at bit j * a. For n <= CONJECTURE_MAX_N
+    these a * b bits fit an int64.
     """
     to_cols, to_rows = _spread_table(b, a), _spread_table(a, b)
     col_mask, row_mask = (1 << a) - 1, (1 << b) - 1
@@ -95,16 +94,10 @@ def _chunk_forms(a: int, b: int, start: int, end: int) -> tuple[int, list[int]]:
         for _ in range(a - 1):
             reach = np.bitwise_or.reduce(np.where(rows & reach[:, None] != 0, rows, 0), axis=1)
         rows = rows[reach == row_mask]
-        packed = np.empty(len(rows), dtype=np.int64)
-        todo = np.arange(len(rows))
-        while len(todo):
-            cols = np.bitwise_or.reduce(to_cols[rows] << row_index, axis=1)[:, None] >> col_index * a & col_mask
-            t = np.bitwise_or.reduce(to_rows[np.sort(cols, axis=1)] << col_index, axis=1)
-            new = t[:, None] >> row_index * b & row_mask
-            rows = np.sort(new, axis=1)
-            stable = (rows == new).all(axis=1)
-            packed[todo[stable]] = t[stable]
-            todo, rows = todo[~stable], rows[~stable]
+        cols = np.bitwise_or.reduce(to_cols[rows] << row_index, axis=1)[:, None] >> col_index * a & col_mask
+        t = np.bitwise_or.reduce(to_rows[np.sort(cols, axis=1)] << col_index, axis=1)
+        rows = np.sort(t[:, None] >> row_index * b & row_mask, axis=1)
+        packed = np.bitwise_or.reduce(rows << row_index * b, axis=1)
         candidates += len(packed)
         _, first = np.unique(packed, return_index=True)
         for form in packed[np.sort(first)].tolist():
@@ -154,16 +147,6 @@ def _key_graph(a: int, b: int, key: int) -> Graph:
     """The graph whose biadjacency columns are packed in key as in
     _class_keys: left vertex i is i, right vertex j is a + j."""
     return Graph(a + b, [(i, a + j) for j in range(b) for i in range(a) if key >> (j * a + i) & 1])
-
-
-def _key_graph6(a: int, b: int, key: int) -> str:
-    """graph6 of _key_graph(a, b, key), read straight off the key's bits."""
-    bits = [0] * (a * (a - 1) // 2)
-    for j in range(b):
-        # the upper-triangle column of right vertex a + j: its a left
-        # neighbour bits, then j right vertices it is never adjacent to
-        bits += [key >> (j * a + i) & 1 for i in range(a)] + [0] * j
-    return _encode_graph6(a + b, bits)
 
 
 def enumerate_connected_bipartite(n: int):
@@ -299,7 +282,6 @@ def _completed(chunks: list, threads: int):
 def check_conjecture(
     n: int,
     threads: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
     checkpoint: str | None = None,
 ) -> ConjectureReport:
     """Evaluate S_Q over every connected bipartite isomorphism class on n
@@ -311,19 +293,17 @@ def check_conjecture(
     this run (same n, chunking and labelling) holds."""
     if not (2 <= n <= CONJECTURE_MAX_N):
         raise ValueError(f"conjecture check supports 2 <= n <= {CONJECTURE_MAX_N}, got {n}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk size must be >= 1, got {chunk_size}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     t0 = time.monotonic()
 
     chunks = [
-        (n, a, start, min(start + chunk_size, total))
+        (n, a, start, min(start + _CHUNK, total))
         for a in range(1, n // 2 + 1)
         for total in (_count_row_tuples(a, n - a),)
-        for start in range(0, total, chunk_size)
+        for start in range(0, total, _CHUNK)
     ]
-    done = _read_checkpoint(checkpoint, n, {c[1:] for c in chunks}) if checkpoint else {}
+    done = _read_checkpoint(checkpoint, n, {c[1:] for c in chunks}) if checkpoint is not None else {}
     pending = [c for c in chunks if c[1:] not in done]
     # this run's classes, graph6 -> S_Q: those its records on file name, then
     # each new one as the first chunk that meets it completes; a new record
@@ -335,16 +315,17 @@ def check_conjecture(
         candidates_total += candidates
     # (a, class key) already named, so each key is encoded once
     seen: set[tuple[int, int]] = set()
-    with open(checkpoint, "a") if checkpoint else nullcontext() as ckpt_fh:
+    with open(checkpoint, "a") if checkpoint is not None else nullcontext() as ckpt_fh:
         for a, start, end, keys, candidates in _completed(pending, threads):
             candidates_total += candidates
             new = {}
             for key in keys:
                 if (a, key) not in seen:
                     seen.add((a, key))
-                    g6 = _key_graph6(a, n - a, key)
+                    g = _key_graph(a, n - a, key)
+                    g6 = write_graph6(g)
                     if g6 not in classes:
-                        new[g6] = classes[g6] = spread(_key_graph(a, n - a, key), KIND_DSL).spread
+                        new[g6] = classes[g6] = spread(g, KIND_DSL).spread
             if ckpt_fh:
                 ckpt_fh.write(json.dumps({
                     "n": n, "labelling": _LABELLING, "a": a, "start": start, "end": end,
@@ -356,7 +337,7 @@ def check_conjecture(
     a0 = n // 2
     reference = spread(complete_bipartite(a0, n - a0), KIND_DSL).spread
     # named in the search's own labelling: the all-ones biadjacency key
-    reference_g6 = _key_graph6(a0, n - a0, (1 << a0 * (n - a0)) - 1)
+    reference_g6 = write_graph6(_key_graph(a0, n - a0, (1 << a0 * (n - a0)) - 1))
 
     counterexamples = []
     for g6, sq in sorted(classes.items()):

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spreadlab import Graph, builtin, spread
-from spreadlab.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SCHEMA_VERSION, build_parser, main
-from spreadlab.search import DEFAULT_CHUNK
+from spreadlab import Graph, builtin, search, spread
+from spreadlab.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SCHEMA_VERSION, main
 
 
 def run(capsys, *argv):
@@ -206,14 +205,11 @@ def test_conjecture_cli_range_error(capsys):
     assert code == EXIT_DOMAIN
 
 
-def test_conjecture_cli_rejects_chunk_size_zero(capsys):
-    code, _, err = run(capsys, "conjecture", "--n", "4", "--chunk-size", "0")
-    assert code == EXIT_DOMAIN and "chunk size" in err
-
-
-def test_conjecture_cli_chunk_size_defaults_to_api_default():
-    # the CLI and check_conjecture chunk alike, so their checkpoints resume each other
-    assert build_parser().parse_args(["conjecture", "--n", "6"]).chunk_size == DEFAULT_CHUNK
+def test_conjecture_cli_refuses_empty_checkpoint_path(capsys):
+    # an empty path (say, an unset shell variable) names no file; it must
+    # not run without a checkpoint, which a killed run could not resume
+    code, _, err = run(capsys, "conjecture", "--n", "4", "--checkpoint", "")
+    assert code == EXIT_DOMAIN and "No such file" in err and "Traceback" not in err
 
 
 def test_conjecture_cli_rejects_threads_below_one(capsys):
@@ -223,9 +219,10 @@ def test_conjecture_cli_rejects_threads_below_one(capsys):
 
 
 @pytest.mark.parametrize("field, value", [("classes", []), ("candidates", "7")])
-def test_conjecture_cli_wrong_typed_checkpoint_record(tmp_path, capsys, field, value):
+def test_conjecture_cli_wrong_typed_checkpoint_record(tmp_path, capsys, monkeypatch, field, value):
+    monkeypatch.setattr(search, "_CHUNK", 3)
     ckpt = tmp_path / "chk.jsonl"
-    argv = ["conjecture", "--n", "5", "--chunk-size", "3", "--checkpoint", str(ckpt)]
+    argv = ["conjecture", "--n", "5", "--checkpoint", str(ckpt)]
     assert run(capsys, *argv)[0] == EXIT_OK
     lines = ckpt.read_text().splitlines()
     lines[0] = json.dumps(json.loads(lines[0]) | {field: value})

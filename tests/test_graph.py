@@ -80,7 +80,7 @@ def test_graph_rejects_loops_and_out_of_range():
 def test_graph_deduplicates_and_normalises_edges():
     g = Graph(3, [(0, 1), (1, 0), (2, 1)])
     assert g.edge_count() == 2
-    assert g.sorted_edges() == [(0, 1), (1, 2)]
+    assert sorted(g.edges) == [(0, 1), (1, 2)]
     assert g == Graph(3, [(1, 2), (0, 1)])
     assert hash(g) == hash(Graph(3, [(1, 2), (0, 1)]))
 

@@ -137,15 +137,10 @@ def columns(a: int, b: int, rows) -> list[int]:
 
 
 def sorted_form(a: int, b: int, rows) -> tuple[int, ...]:
-    """Rows after sorting the columns (as bitmasks over the rows) and then
-    the rows, repeated until the rows stay sorted."""
-    rows = list(rows)
-    while True:
-        cols = sorted(columns(a, b, rows))
-        new = [sum(((cols[j] >> i) & 1) << j for j in range(b)) for i in range(a)]
-        rows = sorted(new)
-        if rows == new:
-            return tuple(rows)
+    """Rows after sorting the columns (as bitmasks over the rows) once and
+    then the rows once."""
+    cols = sorted(columns(a, b, rows))
+    return tuple(sorted(sum(((cols[j] >> i) & 1) << j for j in range(b)) for i in range(a)))
 
 
 def packed(b: int, form) -> int:
@@ -176,13 +171,11 @@ def reference_chunk_forms(a: int, b: int, start: int, end: int):
     return candidates, forms
 
 
-def test_sorted_form_permutes_rows_and_columns_and_is_idempotent():
+def test_sorted_form_permutes_rows_and_columns():
     for n in range(2, 8):
         for a, b, rows in connected_row_tuples(n):
             form = sorted_form(a, b, rows)
             assert list(form) == sorted(form)
-            assert columns(a, b, form) == sorted(columns(a, b, form))
-            assert sorted_form(a, b, form) == form
             # some column permutation of the input, with its rows sorted
             assert any(
                 tuple(sorted(sum(((r >> p) & 1) << j for j, p in enumerate(perm)) for r in rows)) == form
@@ -190,30 +183,20 @@ def test_sorted_form_permutes_rows_and_columns_and_is_idempotent():
             ), (a, b, rows, form)
 
 
-def test_sorted_forms_are_the_doubly_sorted_matrices():
-    # every form is doubly sorted, and a doubly sorted matrix is its own form
-    for n in (6, 7, 8):
-        forms = {(a, sorted_form(a, b, rows)) for a, b, rows in connected_row_tuples(n)}
-        doubly = {(a, rows) for a, b, rows in connected_row_tuples(n)
-                  if columns(a, b, rows) == sorted(columns(a, b, rows))}
-        assert forms == doubly
-
-
-def chunks(n: int, chunk_size: int):
+def chunks(n: int, size: int):
     for a in range(1, n // 2 + 1):
         total = search._count_row_tuples(a, n - a)
-        for start in range(0, total, chunk_size):
-            yield n, a, start, min(start + chunk_size, total)
+        for start in range(0, total, size):
+            yield n, a, start, min(start + size, total)
 
 
-@pytest.mark.parametrize("chunk_size, block", [(search.DEFAULT_CHUNK, search._BLOCK), (97, search._BLOCK),
-                                               (search.DEFAULT_CHUNK, 7)])
-def test_chunk_forms_match_scalar_reference(chunk_size, block, monkeypatch):
+@pytest.mark.parametrize("size, block", [(search._CHUNK, search._BLOCK), (97, search._BLOCK), (search._CHUNK, 7)])
+def test_chunk_forms_match_scalar_reference(size, block, monkeypatch):
     # block 7 splits every chunk into many numpy passes, so forms that recur
     # across passes must keep their first place
     monkeypatch.setattr(search, "_BLOCK", block)
     for n in range(2, 9):
-        for _, a, start, end in chunks(n, chunk_size):
+        for _, a, start, end in chunks(n, size):
             assert search._chunk_forms(a, n - a, start, end) == reference_chunk_forms(a, n - a, start, end), \
                 (n, a, start, end)
 
@@ -295,15 +278,15 @@ def reference_run_chunk(args):
     return a, start, end, keys, candidates
 
 
-@pytest.mark.parametrize("chunk_size", [search.DEFAULT_CHUNK, 97])
-def test_run_chunk_matches_labelling_every_candidate(chunk_size):
+@pytest.mark.parametrize("size", [search._CHUNK, 97])
+def test_run_chunk_matches_labelling_every_candidate(size):
     # the same keys in the same order, and the same candidate count
     for n in range(2, 9):
-        for chunk in chunks(n, chunk_size):
+        for chunk in chunks(n, size):
             assert search._run_chunk(chunk) == reference_run_chunk(chunk), chunk
 
 
-def test_conjecture_checkpoints_name_and_solve_each_class_on_its_key_graph(tmp_path):
+def test_conjecture_checkpoints_name_and_solve_each_class_on_its_key_graph(tmp_path, monkeypatch):
     # every class is written as the graph6 of the graph read off its
     # reference key and solved on that graph, S_Q bit for bit
     for n in range(2, 9):
@@ -312,15 +295,16 @@ def test_conjecture_checkpoints_name_and_solve_each_class_on_its_key_graph(tmp_p
             for key in reference_run_chunk((n, a, 0, search._count_row_tuples(a, n - a)))[3]:
                 g = key_graph(a, n - a, key)
                 want[write_graph6(g)] = spread(g, KIND_DSL).spread.hex()
-        for chunk_size in (search.DEFAULT_CHUNK, 97):
-            ckpt = tmp_path / f"chk-{n}-{chunk_size}.jsonl"
-            check_conjecture(n, chunk_size=chunk_size, checkpoint=str(ckpt))
+        for size in (search._CHUNK, 97):
+            ckpt = tmp_path / f"chk-{n}-{size}.jsonl"
+            monkeypatch.setattr(search, "_CHUNK", size)
+            check_conjecture(n, checkpoint=str(ckpt))
             named = [(g6, sq.hex()) for r in checkpoint_records(ckpt) for g6, sq in r["classes"].items()]
-            assert len(named) == len(want) and dict(named) == want, (n, chunk_size)
+            assert len(named) == len(want) and dict(named) == want, (n, size)
 
 
-@pytest.mark.parametrize("chunk_size", [search.DEFAULT_CHUNK, 97])
-def test_conjecture_labels_each_form_and_solves_each_class_once(chunk_size, monkeypatch, tmp_path):
+@pytest.mark.parametrize("size", [search._CHUNK, 97])
+def test_conjecture_labels_each_form_and_solves_each_class_once(size, monkeypatch, tmp_path):
     # at chunk size 97, forms and classes recur across chunks. Chunks run on
     # two workers, which append the forms they key to a file; every class is
     # solved in this process
@@ -340,11 +324,12 @@ def test_conjecture_labels_each_form_and_solves_each_class_once(chunk_size, monk
 
     monkeypatch.setattr(search, "_class_keys", counted_class_keys)
     monkeypatch.setattr(search, "spread", caller_spread)
-    report = check_conjecture(8, threads=2, chunk_size=chunk_size)
+    monkeypatch.setattr(search, "_CHUNK", size)
+    report = check_conjecture(8, threads=2)
     # each chunk keys its distinct forms once
     keyed = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
     assert len(keyed) == sum(len(search._chunk_forms(a, 8 - a, start, end)[1])
-                             for _, a, start, end in chunks(8, chunk_size))
+                             for _, a, start, end in chunks(8, size))
     assert set(keyed) == {(a, f) for a, _, forms in all_forms(8) for f in forms}
     # the K_{4,4} reference is solved once more
     assert len(solved) == report.graphs_checked + 1 == 183
@@ -388,16 +373,17 @@ def test_conjecture_n9_serial_and_parallel_agree():
     assert names_balanced_complete_bipartite(serial.minimizer_graph6)
 
 
-def test_conjecture_checkpoint_resume(tmp_path):
+def test_conjecture_checkpoint_resume(tmp_path, monkeypatch):
+    monkeypatch.setattr(search, "_CHUNK", 3)
     ckpt = tmp_path / "chk.jsonl"
     # run with a tiny chunk size so several chunks are written
-    full = check_conjecture(6, chunk_size=3, checkpoint=str(ckpt))
+    full = check_conjecture(6, checkpoint=str(ckpt))
     lines = [json.loads(l) for l in ckpt.read_text().splitlines()]
     assert len(lines) == full.chunks
     # drop the tail of the checkpoint and resume: the report must be identical
     kept = lines[: len(lines) // 2]
     ckpt.write_text("".join(json.dumps(r) + "\n" for r in kept))
-    resumed = check_conjecture(6, chunk_size=3, checkpoint=str(ckpt))
+    resumed = check_conjecture(6, checkpoint=str(ckpt))
     assert resumed.graphs_checked == full.graphs_checked
     assert resumed.minimizer_graph6 == full.minimizer_graph6
     assert resumed.minimizer_spread == full.minimizer_spread
@@ -411,7 +397,8 @@ def report_fields(report) -> dict:
 
 
 def test_conjecture_checkpoints_each_chunk_as_it_completes(tmp_path, monkeypatch):
-    fresh = check_conjecture(6, chunk_size=3)
+    monkeypatch.setattr(search, "_CHUNK", 3)
+    fresh = check_conjecture(6)
     ckpt = tmp_path / "chk.jsonl"
     run_chunk, calls = search._run_chunk, []
 
@@ -423,24 +410,27 @@ def test_conjecture_checkpoints_each_chunk_as_it_completes(tmp_path, monkeypatch
 
     monkeypatch.setattr(search, "_run_chunk", killed_after_four)
     with pytest.raises(RuntimeError, match="killed"):
-        check_conjecture(6, chunk_size=3, checkpoint=str(ckpt))
+        check_conjecture(6, checkpoint=str(ckpt))
     records = [json.loads(line) for line in ckpt.read_text().splitlines()]
     assert [(r["a"], r["start"], r["end"]) for r in records] == [c[1:] for c in calls]
     monkeypatch.setattr(search, "_run_chunk", run_chunk)
-    resumed = check_conjecture(6, chunk_size=3, checkpoint=str(ckpt))
+    resumed = check_conjecture(6, checkpoint=str(ckpt))
     assert report_fields(resumed) == report_fields(fresh)
     assert len(ckpt.read_text().splitlines()) == fresh.chunks
 
 
-def test_conjecture_resume_with_other_chunk_size_does_not_double_count(tmp_path):
+def test_conjecture_resume_with_other_chunk_size_does_not_double_count(tmp_path, monkeypatch):
     ckpt = tmp_path / "chk.jsonl"
-    first = check_conjecture(7, chunk_size=50, checkpoint=str(ckpt))
-    second = check_conjecture(7, chunk_size=70, checkpoint=str(ckpt))
+    monkeypatch.setattr(search, "_CHUNK", 50)
+    first = check_conjecture(7, checkpoint=str(ckpt))
+    monkeypatch.setattr(search, "_CHUNK", 70)
+    second = check_conjecture(7, checkpoint=str(ckpt))
     assert first.candidates == second.candidates == 439
     assert report_fields(second) == report_fields(first) | {"chunks": second.chunks}
     # a third run with either chunking finds all of its chunks on file
     lines = ckpt.read_text()
-    check_conjecture(7, chunk_size=50, checkpoint=str(ckpt))
+    monkeypatch.setattr(search, "_CHUNK", 50)
+    check_conjecture(7, checkpoint=str(ckpt))
     assert ckpt.read_text() == lines
 
 
@@ -448,10 +438,11 @@ def checkpoint_records(path) -> list[dict]:
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
-def test_conjecture_checkpoint_names_each_class_once(tmp_path):
-    fresh = check_conjecture(8, chunk_size=97)
+def test_conjecture_checkpoint_names_each_class_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(search, "_CHUNK", 97)
+    fresh = check_conjecture(8)
     ckpt = tmp_path / "chk.jsonl"
-    full = check_conjecture(8, chunk_size=97, checkpoint=str(ckpt))
+    full = check_conjecture(8, checkpoint=str(ckpt))
     records = checkpoint_records(ckpt)
     named = [g6 for r in records for g6 in r["classes"]]
     assert len(named) == len(set(named)) == 182
@@ -459,7 +450,7 @@ def test_conjecture_checkpoint_names_each_class_once(tmp_path):
     # the classes the kept ones lack
     kept = records[: len(records) // 3]
     ckpt.write_text("".join(json.dumps(r) + "\n" for r in kept))
-    resumed = check_conjecture(8, threads=2, chunk_size=97, checkpoint=str(ckpt))
+    resumed = check_conjecture(8, threads=2, checkpoint=str(ckpt))
     assert report_fields(resumed) == report_fields(full) == report_fields(fresh)
     records = checkpoint_records(ckpt)
     assert sorted((r["a"], r["start"], r["end"]) for r in records) == [c[1:] for c in chunks(8, 97)]
@@ -486,8 +477,9 @@ def old_run_chunk(args):
     return a, start, end, classes, candidates
 
 
-def test_conjecture_redoes_records_of_another_labelling(tmp_path):
-    fresh = check_conjecture(7, chunk_size=50)
+def test_conjecture_redoes_records_of_another_labelling(tmp_path, monkeypatch):
+    monkeypatch.setattr(search, "_CHUNK", 50)
+    fresh = check_conjecture(7)
     old = [old_run_chunk(c) for c in chunks(7, 50)]
     ckpt = tmp_path / "chk.jsonl"
     ckpt.write_text("".join(
@@ -496,7 +488,7 @@ def test_conjecture_redoes_records_of_another_labelling(tmp_path):
     ) + json.dumps({"n": 7, "labelling": "another", "a": old[-1][0], "start": old[-1][1], "end": old[-1][2],
                     "classes": old[-1][3], "candidates": old[-1][4]}) + "\n")
     before = ckpt.read_text()
-    resumed = check_conjecture(7, chunk_size=50, checkpoint=str(ckpt))
+    resumed = check_conjecture(7, checkpoint=str(ckpt))
     # merged with the old names, the classes and candidates would count twice
     assert report_fields(resumed) == report_fields(fresh)
     assert resumed.graphs_checked == 44 and resumed.candidates == 439
@@ -507,13 +499,14 @@ def test_conjecture_redoes_records_of_another_labelling(tmp_path):
     assert sorted((r["a"], r["start"], r["end"]) for r in redone) == [c[1:] for c in chunks(7, 50)]
 
 
-def test_conjecture_resume_after_torn_last_line(tmp_path):
+def test_conjecture_resume_after_torn_last_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(search, "_CHUNK", 3)
     ckpt = tmp_path / "chk.jsonl"
-    fresh = check_conjecture(6, chunk_size=3, checkpoint=str(ckpt))
+    fresh = check_conjecture(6, checkpoint=str(ckpt))
     text = ckpt.read_text()
     # a kill mid-write leaves part of the last record and no newline
     ckpt.write_text(text[: len(text) - 40])
-    resumed = check_conjecture(6, chunk_size=3, checkpoint=str(ckpt))
+    resumed = check_conjecture(6, checkpoint=str(ckpt))
     assert report_fields(resumed) == report_fields(fresh)
     lines = ckpt.read_text().splitlines()
     assert len(lines) == fresh.chunks
@@ -521,20 +514,21 @@ def test_conjecture_resume_after_torn_last_line(tmp_path):
     # a complete last record without its newline is kept, and the next
     # record starts on a line of its own
     ckpt.write_text("\n".join(lines[:-1]))
-    resumed = check_conjecture(6, chunk_size=3, checkpoint=str(ckpt))
+    resumed = check_conjecture(6, checkpoint=str(ckpt))
     assert report_fields(resumed) == report_fields(fresh)
     assert sorted(ckpt.read_text().splitlines()) == sorted(lines)
 
 
-def test_conjecture_rejects_unparsable_checkpoint_line(tmp_path, capsys):
+def test_conjecture_rejects_unparsable_checkpoint_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(search, "_CHUNK", 3)
     ckpt = tmp_path / "chk.jsonl"
-    check_conjecture(5, chunk_size=3, checkpoint=str(ckpt))
+    check_conjecture(5, checkpoint=str(ckpt))
     lines = ckpt.read_text().splitlines()
     lines[1] = lines[1][:20]
     ckpt.write_text("\n".join(lines) + "\n")
     with pytest.raises(SpreadlabError, match="line 2"):
-        check_conjecture(5, chunk_size=3, checkpoint=str(ckpt))
-    assert main(["conjecture", "--n", "5", "--chunk-size", "3", "--checkpoint", str(ckpt)]) == 2
+        check_conjecture(5, checkpoint=str(ckpt))
+    assert main(["conjecture", "--n", "5", "--checkpoint", str(ckpt)]) == 2
     assert "line 2" in capsys.readouterr().err
 
 
@@ -548,25 +542,27 @@ def write_records(path, records) -> None:
 
 
 @pytest.mark.parametrize("field, value", WRONG_TYPED)
-def test_conjecture_wrong_typed_checkpoint_record(tmp_path, field, value):
-    fresh = check_conjecture(5, chunk_size=3)
+def test_conjecture_wrong_typed_checkpoint_record(tmp_path, field, value, monkeypatch):
+    monkeypatch.setattr(search, "_CHUNK", 3)
+    fresh = check_conjecture(5)
     ckpt = tmp_path / "chk.jsonl"
-    check_conjecture(5, chunk_size=3, checkpoint=str(ckpt))
+    check_conjecture(5, checkpoint=str(ckpt))
     records = checkpoint_records(ckpt)
     # before the last line it is an error naming the line
     write_records(ckpt, [records[0] | {field: value}] + records[1:])
     with pytest.raises(SpreadlabError, match="line 1 "):
-        check_conjecture(5, chunk_size=3, checkpoint=str(ckpt))
+        check_conjecture(5, checkpoint=str(ckpt))
     # as the last line it is cut off and its chunk redone
     write_records(ckpt, records[:-1] + [records[-1] | {field: value}])
-    assert report_fields(check_conjecture(5, chunk_size=3, checkpoint=str(ckpt))) == report_fields(fresh)
+    assert report_fields(check_conjecture(5, checkpoint=str(ckpt))) == report_fields(fresh)
     assert checkpoint_records(ckpt) == records
 
 
-def test_conjecture_parallel_matches_serial(tmp_path):
+def test_conjecture_parallel_matches_serial(tmp_path, monkeypatch):
     serial = check_conjecture(6, threads=1)
     ckpt = tmp_path / "chk.jsonl"
-    parallel = check_conjecture(6, threads=2, chunk_size=5, checkpoint=str(ckpt))
+    monkeypatch.setattr(search, "_CHUNK", 5)
+    parallel = check_conjecture(6, threads=2, checkpoint=str(ckpt))
     assert len(ckpt.read_text().splitlines()) == parallel.chunks
     assert serial.graphs_checked == parallel.graphs_checked
     assert serial.minimizer_graph6 == parallel.minimizer_graph6
@@ -592,17 +588,18 @@ class InProcessPool:
 
 
 def test_pool_capped_at_core_count(monkeypatch):
-    serial = check_conjecture(6, threads=1, chunk_size=3)
+    monkeypatch.setattr(search, "_CHUNK", 3)
+    serial = check_conjecture(6, threads=1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(InProcessPool, "requested", [])
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    pooled = check_conjecture(6, threads=10_000, chunk_size=3)
+    pooled = check_conjecture(6, threads=10_000)
     assert InProcessPool.requested == [3] and pooled.chunks > 3
     assert report_fields(pooled) == report_fields(serial)
     # one core, or a count os cannot tell: no pool at all
     for cores in (1, None):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        assert report_fields(check_conjecture(6, threads=10_000, chunk_size=3)) == report_fields(serial)
+        assert report_fields(check_conjecture(6, threads=10_000)) == report_fields(serial)
     assert InProcessPool.requested == [3]
 
 
@@ -614,10 +611,9 @@ def test_import_leaves_multiprocessing_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_conjecture_rejects_chunk_size_below_one():
-    for size in (0, -5):
-        with pytest.raises(ValueError, match="chunk size"):
-            check_conjecture(4, chunk_size=size)
+def test_conjecture_refuses_empty_checkpoint_path():
+    with pytest.raises(FileNotFoundError):
+        check_conjecture(4, checkpoint="")
 
 
 def test_conjecture_rejects_threads_below_one():

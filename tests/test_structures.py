@@ -150,7 +150,7 @@ def test_biconnected_components_partition_edges(rng):
         blocks = biconnected_components(g)
         seen = [tuple(sorted((min(u, v), max(u, v)) for (u, v) in b)) for b in blocks]
         flat = sorted(e for b in seen for e in b)
-        assert flat == g.sorted_edges()
+        assert flat == sorted(g.edges)
 
 
 def test_cactus_detection():
