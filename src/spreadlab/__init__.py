@@ -45,8 +45,8 @@ from .graph import (
     star,
     write_graph6,
 )
-from .linalg import Spectrum, SymMatrix, eigenvalues_symmetric
-from .quotient import InterlacingResult, QuotientMatrix, interlaces
+from .linalg import Spectrum
+from .quotient import QuotientMatrix
 from .search import (
     ConjectureReport,
     check_conjecture,
@@ -66,10 +66,8 @@ from .spectral import (
 from .structures import (
     WitnessSet,
     cactus_longest_cycles,
-    cycle_internal_sum,
     diameter_paths,
     is_cactus,
     maximum_cliques,
-    path_internal_sum,
 )
 from .tables import CellResult, verify_tables

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import DegenerateBoundError, SpreadlabError
 from .graph import Graph, all_pairs_distances, average_distance_degree, bipartition
-from .linalg import SymMatrix
 from .quotient import QuotientMatrix
 from .spectral import KIND_DISTANCE, KIND_DSL, closed_form_spread, distance_matrix, matrix_spread
 from .structures import DIAMETER_PATH_CAP, cactus_longest_cycles, diameter_paths, maximum_cliques
@@ -90,7 +89,7 @@ def _analyse(g: Graph, kind: str):
     read-only int64 array, and its spread."""
     dd = all_pairs_distances(g)
     x = distance_matrix(dd, kind)
-    return dd, x, matrix_spread(SymMatrix(x), kind)
+    return dd, x, matrix_spread(x, kind)
 
 
 def _constant(a: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Distance and distance-signless-Laplacian matrices, spectra and spreads.
 
-Also houses every closed-form spectrum/spread used by the bounds: the
-complete-bipartite distance and DSL spectra, the star distance spread and
-the maximum-degree DSL spread.
+Each spread builds D(G) or Q(G) once, as a read-only int64 array, and takes
+its spectrum from linalg.eigenvalues_symmetric on that array. Also houses
+every closed-form spectrum/spread used by the bounds: the complete-bipartite
+distance and DSL spectra, the star distance spread and the maximum-degree
+DSL spread.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import SpreadlabError
 from .graph import DistanceData, Graph, all_pairs_distances
-from .linalg import Spectrum, SymMatrix, eigenvalues_symmetric
+from .linalg import Spectrum, eigenvalues_symmetric
 
 KIND_DISTANCE = "distance"
 KIND_DSL = "dsl"
@@ -49,19 +51,15 @@ def distance_matrix(dd: DistanceData, kind: str) -> np.ndarray:
     return x
 
 
-def matrix_of_kind(g: Graph, kind: str) -> SymMatrix:
-    """D(G) for kind 'distance', Q(G) for kind 'dsl'."""
-    return SymMatrix(distance_matrix(all_pairs_distances(g), kind))
-
-
 def spread(g: Graph, kind: str) -> SpreadReport:
     """Largest and least eigenvalue of D(G) or Q(G) and their difference."""
-    return matrix_spread(matrix_of_kind(g, kind), kind)
+    return matrix_spread(distance_matrix(all_pairs_distances(g), kind), kind)
 
 
-def matrix_spread(m: SymMatrix, kind: str) -> SpreadReport:
-    """spread() of an already built D(G) or Q(G)."""
-    spec = eigenvalues_symmetric(m)
+def matrix_spread(x: np.ndarray, kind: str) -> SpreadReport:
+    """spread() of an already built D(G) or Q(G), the int64 array of
+    distance_matrix."""
+    spec = eigenvalues_symmetric(x)
     return SpreadReport(
         kind=kind,
         rho_max=spec.largest,

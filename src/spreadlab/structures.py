@@ -228,23 +228,3 @@ def cactus_longest_cycles(g: Graph) -> WitnessSet:
         parameter=length,
         members=tuple(sorted(c for c in cycles if len(c) == length)),
     )
-
-
-# ---------------------------------------------------------------------------
-# closed-form internal distance sums
-
-
-def cycle_internal_sum(l: int) -> int:
-    """Distance sum from one vertex of C_l to the others: l^2/4 for even l,
-    (l^2 - 1)/4 for odd l."""
-    if l < 3:
-        raise ValueError(f"cycle length must be >= 3, got {l}")
-    return l * l // 4 if l % 2 == 0 else (l * l - 1) // 4
-
-
-def path_internal_sum(d: int) -> int:
-    """Ordered-pair distance sum over a geodesic with d edges:
-    d(d+1)(d+2)/3."""
-    if d < 1:
-        raise ValueError(f"path length must be >= 1, got {d}")
-    return d * (d + 1) * (d + 2) // 3

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -13,14 +14,14 @@ from spreadlab import (
     NumericError,
     QuotientMatrix,
     Spectrum,
-    SymMatrix,
     all_pairs_distances,
-    eigenvalues_symmetric,
     is_connected,
 )
+from spreadlab.linalg import eigenvalues_symmetric
 
 JACOBI_TOL = 1e-12
 MAX_SWEEPS = 100
+INTERLACING_TOL = 1e-8
 
 
 def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float = 0.3) -> Graph:
@@ -39,6 +40,12 @@ def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float = 
     g = Graph(n, edges)
     assert is_connected(g)
     return g
+
+
+def random_symmetric(rnd: random.Random, n: int, scale: float = 5.0) -> np.ndarray:
+    """Random real symmetric n x n array, entries uniform in [-scale, scale]."""
+    a = np.array([[rnd.uniform(-scale, scale) for _ in range(n)] for _ in range(n)])
+    return (a + a.T) / 2.0
 
 
 def random_connected_bipartite(rng: random.Random, n: int) -> Graph:
@@ -145,9 +152,62 @@ def quotient_eigenvalues(q: QuotientMatrix) -> Spectrum:
     similarity diag(sqrt(n_i)) B diag(1/sqrt(n_i)); real whenever the source
     matrix was symmetric."""
     roots = [math.sqrt(s) for s in q.block_sizes]
-    return eigenvalues_symmetric(SymMatrix([
+    return eigenvalues_symmetric(np.array([
         [float(x) * roots[i] / roots[j] for j, x in enumerate(row)] for i, row in enumerate(q.entries)
     ]))
+
+
+@dataclass(frozen=True)
+class InterlacingResult:
+    """Outcome of interlaces(); falsy on a violation, which it locates."""
+
+    ok: bool
+    index: int | None = None
+    slack: float | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def interlaces(outer: Spectrum, inner: Spectrum) -> InterlacingResult:
+    """Check lambda_i + tol >= mu_i >= lambda_{n-m+i} - tol for all i, with
+    tol = INTERLACING_TOL.
+
+    This is the interlacing the paper's quotient bounds rest on: the
+    eigenvalues mu of a quotient matrix (or of a principal submatrix)
+    interlace the eigenvalues lambda of the matrix itself, so the extreme
+    quotient eigenvalues bound the spread from below. Both spectra must be
+    sorted descending with len(inner) < len(outer). On failure reports the
+    first violating index (1-based) and the slack.
+    """
+    n, m = len(outer.values), len(inner.values)
+    if m >= n:
+        raise ValueError(f"inner spectrum must be strictly smaller, got m={m} >= n={n}")
+    for i in range(m):
+        lam_hi = outer.values[i]
+        lam_lo = outer.values[n - m + i]
+        mu = inner.values[i]
+        if mu > lam_hi + INTERLACING_TOL:
+            return InterlacingResult(False, index=i + 1, slack=mu - lam_hi)
+        if mu < lam_lo - INTERLACING_TOL:
+            return InterlacingResult(False, index=i + 1, slack=lam_lo - mu)
+    return InterlacingResult(True)
+
+
+def cycle_internal_sum(l: int) -> int:
+    """Distance sum from one vertex of C_l to the others: l^2/4 for even l,
+    (l^2 - 1)/4 for odd l."""
+    if l < 3:
+        raise ValueError(f"cycle length must be >= 3, got {l}")
+    return l * l // 4 if l % 2 == 0 else (l * l - 1) // 4
+
+
+def path_internal_sum(d: int) -> int:
+    """Ordered-pair distance sum over a geodesic with d edges:
+    d(d+1)(d+2)/3."""
+    if d < 1:
+        raise ValueError(f"path length must be >= 1, got {d}")
+    return d * (d + 1) * (d + 2) // 3
 
 
 def _off_norm(a: np.ndarray) -> float:

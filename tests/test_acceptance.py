@@ -23,31 +23,31 @@ from spreadlab import (
     complete,
     complete_bipartite,
     cycle,
-    cycle_internal_sum,
     enumerate_connected_bipartite,
     kab_distance_spectrum,
     kab_q_spectrum,
     kite,
     legacy_2012_counterexample,
     path,
-    path_internal_sum,
     spread,
     star,
 )
-from spreadlab.linalg import SymMatrix, eigenvalues_symmetric
-from spreadlab.quotient import interlaces
+from spreadlab.linalg import eigenvalues_symmetric
 from spreadlab.spectral import KIND_DISTANCE, KIND_DSL
 
 from .conftest import (
     around,
+    cycle_internal_sum,
     eig2_real,
+    interlaces,
     names_balanced_complete_bipartite,
+    path_internal_sum,
     quotient_eigenvalues,
     random_cactus,
     random_connected_graph,
+    random_symmetric,
     reference_quotient,
 )
-from .test_linalg import random_symmetric
 
 TOL_4DP = 5e-4
 TOL_1DP = 0.05
@@ -205,8 +205,8 @@ def test_criterion_09_property_suites():
     # interlacing over 200 randomized quotient cases
     for _ in range(200):
         n = rng.randint(3, 9)
-        m = SymMatrix(random_symmetric(rng, n).tolist())
-        q = reference_quotient(m.array, around(rng.sample(range(n), rng.randint(1, n - 1)), n))
+        m = random_symmetric(rng, n)
+        q = reference_quotient(m, around(rng.sample(range(n), rng.randint(1, n - 1)), n))
         ok = ok and bool(interlaces(eigenvalues_symmetric(m), quotient_eigenvalues(q)))
 
     # quotient consistency on every witness of the showcase graphs

@@ -1,54 +1,14 @@
 import math
-import random
-import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import spreadlab
-from spreadlab import NumericError, Spectrum, SymMatrix, eigenvalues_symmetric
-from spreadlab.spectral import KIND_DISTANCE, KIND_DSL, matrix_of_kind
+from spreadlab import NumericError, Spectrum, all_pairs_distances
+from spreadlab.linalg import eigenvalues_symmetric
+from spreadlab.spectral import KIND_DISTANCE, KIND_DSL, distance_matrix
 
-from .conftest import eig2_real, jacobi_eigenvalues, random_connected_graph
-
-
-def random_symmetric(rnd: random.Random, n: int, scale: float = 5.0) -> np.ndarray:
-    a = np.array([[rnd.uniform(-scale, scale) for _ in range(n)] for _ in range(n)])
-    return (a + a.T) / 2.0
-
-
-def test_symmatrix_validation():
-    with pytest.raises(ValueError, match="square"):
-        SymMatrix([[1, 2, 3], [4, 5, 6]])
-    with pytest.raises(ValueError, match="symmetric"):
-        SymMatrix([[0, 1], [5, 0]])
-
-
-BIG = 2 ** 70
-
-
-@pytest.mark.parametrize("rows", [
-    [[0, 1], [1, 0]],                                      # ints
-    ((0, 2), (2, 5)),                                      # tuples of ints
-    [[False, True], [True, False]],                        # bools
-    np.array([[0, 3], [3, 1]], dtype=np.int64),            # numpy ints
-    np.array([[0, 3], [3, 1]], dtype=np.uint8),            # numpy unsigned ints
-    [[0.0, 1.5], [1.5, 0.0]],                              # floats
-    [[0, 1.5], [1.5, 0]],                                  # mixed int/float
-    [[Fraction(1, 2), 1], [1, Fraction(3)]],               # Fractions and ints
-    [[Fraction(1, 2), 1.0], [1.0, 0]],                     # Fraction and float
-    [[0, BIG], [BIG, 1]],                                  # ints beyond int64
-])
-def test_symmatrix_array_by_input_kind(rows):
-    assert SymMatrix(rows).array.tolist() == [[float(x) for x in row] for row in rows]
-
-
-def test_symmatrix_ragged_rejected():
-    with pytest.raises(ValueError):
-        SymMatrix([[0, 1], [1]])
-    with pytest.raises(ValueError):
-        SymMatrix([[0, Fraction(1)], [Fraction(1)]])
+from .conftest import eig2_real, jacobi_eigenvalues, random_connected_graph, random_symmetric
 
 
 def test_jacobi_matches_numpy_oracle(rng):
@@ -117,25 +77,8 @@ def test_eig2_agrees_with_jacobi_on_symmetric(rng):
 
 
 def test_identity_spectrum():
-    s = eigenvalues_symmetric(SymMatrix(np.eye(4)))
+    s = eigenvalues_symmetric(np.eye(4, dtype=np.int64))
     assert all(abs(v - 1.0) < 1e-12 for v in s.values)
-
-
-@pytest.mark.parametrize("rows", [
-    pytest.param([[1.0, math.nan], [math.nan, 1.0]], id="nan"),
-    pytest.param([[1, math.inf], [math.inf, 1]], id="inf"),
-    pytest.param([[1, -math.inf], [-math.inf, 1]], id="-inf"),
-    pytest.param([[1, math.inf], [-math.inf, 1]], id="inf-and-minus-inf"),
-    # finite, but its symmetrisation overflows
-    pytest.param([[1.0, 1.7e308], [1.7e308, 1.0]], id="overflow"),
-])
-def test_non_finite_matrix_raises_numeric_error(rows):
-    # LAPACK returns NaN eigenvalues here without raising; the refusal
-    # itself must not warn either
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericError, match="non-finite"):
-            SymMatrix(rows)
 
 
 def test_lapack_failure_becomes_numeric_error(monkeypatch):
@@ -144,7 +87,7 @@ def test_lapack_failure_becomes_numeric_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(NumericError, match="did not converge"):
-        eigenvalues_symmetric(SymMatrix(np.eye(3)))
+        eigenvalues_symmetric(np.eye(3, dtype=np.int64))
 
 
 def test_lapack_agrees_with_jacobi_on_distance_matrices(rng):
@@ -153,9 +96,9 @@ def test_lapack_agrees_with_jacobi_on_distance_matrices(rng):
         for density in (0.03, 0.3):
             g = random_connected_graph(rng, n, density)
             for kind in (KIND_DISTANCE, KIND_DSL):
-                m = matrix_of_kind(g, kind)
+                m = distance_matrix(all_pairs_distances(g), kind)
                 got = eigenvalues_symmetric(m).values
-                want = sorted(jacobi_eigenvalues(m.array), reverse=True)
+                want = sorted(jacobi_eigenvalues(m), reverse=True)
                 scale = max(1.0, abs(want[0]), abs(want[-1]))
                 assert len(got) == n
                 for x, y in zip(got, want):
@@ -166,3 +109,17 @@ def test_test_only_helpers_not_exported():
     for module in (spreadlab, spreadlab.linalg, spreadlab.quotient):
         for name in ("jacobi_eigenvalues", "block_spectrum"):
             assert not hasattr(module, name), (module.__name__, name)
+    # the general matrix layer is gone, and the interlacing check and the
+    # internal distance sums are test oracles kept in tests/conftest.py
+    removed = {
+        spreadlab.linalg: ("SymMatrix", "SYMMETRY_TOL"),
+        spreadlab.spectral: ("matrix_of_kind",),
+        spreadlab.quotient: ("interlaces", "InterlacingResult", "INTERLACING_TOL"),
+        spreadlab.structures: ("cycle_internal_sum", "path_internal_sum"),
+    }
+    for module, names in removed.items():
+        for name in names:
+            assert not hasattr(module, name), (module.__name__, name)
+            assert not hasattr(spreadlab, name), name
+    assert not hasattr(spreadlab, "eigenvalues_symmetric")
+    assert not hasattr(Spectrum, "n")

@@ -6,22 +6,27 @@ import numpy as np
 import pytest
 
 from spreadlab import (
-    InterlacingResult,
     QuotientMatrix,
     Spectrum,
-    SymMatrix,
     all_pairs_distances,
     builtin,
     complete_bipartite,
-    eigenvalues_symmetric,
-    interlaces,
     legacy_2012_counterexample,
     spread,
 )
+from spreadlab.linalg import eigenvalues_symmetric
 from spreadlab.spectral import KIND_DSL
 
-from .conftest import around, matrix_rows, quotient_eigenvalues, random_connected_graph, reference_quotient
-from .test_linalg import random_symmetric
+from .conftest import (
+    InterlacingResult,
+    around,
+    interlaces,
+    matrix_rows,
+    quotient_eigenvalues,
+    random_connected_graph,
+    random_symmetric,
+    reference_quotient,
+)
 
 
 def test_quotient_exact_rationals_on_showcase_graph():
@@ -91,18 +96,17 @@ def test_quotient_interlacing_randomized(rng):
     for _ in range(100):
         n = rng.randint(3, 9)
         a = random_symmetric(rng, n)
-        m = SymMatrix(a.tolist())
         k = rng.randint(1, n - 1)
-        outer = eigenvalues_symmetric(m)
-        inner = quotient_eigenvalues(reference_quotient(m.array, around(rng.sample(range(n), k), n)))
+        outer = eigenvalues_symmetric(a)
+        inner = quotient_eigenvalues(reference_quotient(a, around(rng.sample(range(n), k), n)))
         assert interlaces(outer, inner)
     for _ in range(100):
         n = rng.randint(3, 9)
         a = random_symmetric(rng, n)
         keep = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
         sub = a[np.ix_(keep, keep)]
-        outer = eigenvalues_symmetric(SymMatrix(a.tolist()))
-        inner = eigenvalues_symmetric(SymMatrix(sub.tolist()))
+        outer = eigenvalues_symmetric(a)
+        inner = eigenvalues_symmetric(sub)
         assert interlaces(outer, inner)
 
 

@@ -19,19 +19,17 @@ from spreadlab import (
     complete,
     complete_bipartite,
     cycle,
-    cycle_internal_sum,
     diameter_paths,
     is_cactus,
     kite,
     legacy_2012_counterexample,
     maximum_cliques,
     path,
-    path_internal_sum,
     star,
 )
 from spreadlab.structures import _geodesics, biconnected_components, maximal_cliques
 
-from .conftest import random_cactus, random_connected_graph
+from .conftest import cycle_internal_sum, path_internal_sum, random_cactus, random_connected_graph
 
 
 # ---------------------------------------------------------------------------
