@@ -10,15 +10,21 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, compress, repeat
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import NotBipartiteError, NotConnectedError, ParseError, SpreadlabError
 
 GRAPH6_HEADER = ">>graph6<<"
 # Largest vertex count an edge list or a family descriptor may ask for. It is
 # checked before any per-vertex allocation; a dense D(G) of this order already
-# takes 32 MB.
+# takes 32 MB. It also keeps all_pairs_distances exact in float32: every
+# entry of its products T.A and T*deg is an integer of at most
+# (n-1)*Delta < MAX_VERTICES^2, and float32 holds every integer below 2^24
+# exactly, so the limit must not pass 4096.
 MAX_VERTICES = 2000
 
 
@@ -68,19 +74,29 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceData:
     """All-pairs distances plus the derived metric quantities.
 
-    dist is an n x n tuple-of-tuples of hop counts, trans[i] the transmission
-    (row sum) of vertex i, wiener the Wiener index and diameter the largest
-    entry.
+    dist is the n x n matrix of hop counts as a read-only int64 array. The
+    Python-int quantities are computed on first use, as only the bounds read
+    them: trans[i] is the transmission (row sum) of vertex i, wiener the
+    Wiener index and diameter the largest entry.
     """
 
-    dist: tuple[tuple[int, ...], ...]
-    trans: tuple[int, ...]
-    wiener: int
-    diameter: int
+    dist: np.ndarray
+
+    @cached_property
+    def trans(self) -> tuple[int, ...]:
+        return tuple(self.dist.sum(axis=1).tolist())
+
+    @cached_property
+    def wiener(self) -> int:
+        return sum(self.trans) // 2
+
+    @cached_property
+    def diameter(self) -> int:
+        return int(self.dist.max()) if len(self.dist) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -380,24 +396,58 @@ def is_connected(g: Graph) -> bool:
 
 
 def all_pairs_distances(g: Graph) -> DistanceData:
-    """All-pairs hop counts by n BFS sweeps, plus transmissions, W and diameter."""
-    rows = []
-    for s in range(g.n):
-        d = _bfs_distances(g, s)
-        if -1 in d:
-            raise NotConnectedError(s, d.index(-1))
-        rows.append(tuple(d))
-    # tuple(<genexpr>) allocates a guessed size and resizes, so the tuple
-    # never comes from CPython's free list for its final size but is freed
-    # onto it; over many calls those lists fill up and hold memory. A list is
-    # copied into a tuple of exactly its size.
-    trans = tuple([sum(r) for r in rows])
-    return DistanceData(
-        dist=tuple(rows),
-        trans=trans,
-        wiener=sum(trans) // 2,
-        diameter=max((max(r) for r in rows), default=0),
-    )
+    """All-pairs hop counts by Seidel's squaring (R. Seidel, JCSS 51, 1995).
+
+    A_0 is the adjacency matrix with a loop at every vertex, so the square
+    of A_i is nonzero exactly on the pairs at distance at most 2 in A_i;
+    those pairs make A_{i+1}. After ceil(log2 diameter) squarings A_k is
+    complete. The level below it (A_0 itself for a complete graph) has
+    distances 2 - A_i off the diagonal, and each lower level is unwound from
+    the one above: with T the distances in A_{i+1} and deg_i the column sums
+    of A_i, the distances in A_i are 2T - [T.A_i < T*deg_i] (the loops add T
+    to both sides of the comparison). The chain is kept as bool arrays and
+    multiplied in float32, exact below MAX_VERTICES. A squaring that joins
+    no new pair has closed every component into a clique, so the graph is
+    disconnected.
+    """
+    n = g.n
+    a = np.zeros((n, n), dtype=bool)
+    if g.edges:
+        uv = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * len(g.edges))
+        a[uv[0::2], uv[1::2]] = a[uv[1::2], uv[0::2]] = True
+    np.fill_diagonal(a, True)
+    levels = [a]
+    pairs = n + 2 * len(g.edges)
+    # two float32 buffers serve every product: f holds a level as 0/1 and p
+    # the product. Fresh float32 matrices per level left freed blocks behind
+    # and raised peak RSS by ~20 MB at n = 2000.
+    f = np.empty((n, n), dtype=np.float32)
+    p = np.empty((n, n), dtype=np.float32)
+    while pairs < n * n:
+        np.copyto(f, a)
+        # f @ f, not f @ f.T: numpy hands the latter to syrk, which halves
+        # the work at n = 2000 but is slower than gemm below n ~ 100 and,
+        # with BLAS threads on, slowed the 2-worker conjecture search by ~7%
+        np.matmul(f, f, out=p)
+        a = p > 0
+        joined = int(np.count_nonzero(a))
+        if joined == pairs:
+            raise NotConnectedError(0, int(np.argmin(a[0])))
+        levels.append(a)
+        pairs = joined
+    if len(levels) > 1:
+        levels.pop()
+    t = 2 - levels.pop().astype(np.float32)
+    np.fill_diagonal(t, 0)
+    while levels:
+        np.copyto(f, levels.pop())
+        np.matmul(t, f, out=p)
+        np.multiply(t, f.sum(axis=0), out=f)  # f now holds T*deg
+        t *= 2
+        t -= p < f
+    dist = t.astype(np.int64)
+    dist.setflags(write=False)
+    return DistanceData(dist=dist)
 
 
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]]:

@@ -37,16 +37,18 @@ def distance_matrix(dd: DistanceData, kind: str) -> np.ndarray:
     """D(G) for kind 'distance', Q(G) = Tr(G) + D(G) for kind 'dsl', as a
     read-only int64 array, from the graph's all_pairs_distances.
 
-    The empty graph has neither matrix and is refused here, so every spread
-    and bound reports it the same way.
+    D(G) is dd.dist itself; Q(G) is one copy of it with the row sums on its
+    zero diagonal. The empty graph has neither matrix and is refused here, so
+    every spread and bound reports it the same way.
     """
     if kind not in (KIND_DISTANCE, KIND_DSL):
         raise ValueError(f"unknown matrix kind {kind!r}; expected 'distance' or 'dsl'")
-    if not dd.dist:
+    if not len(dd.dist):
         raise SpreadlabError("the empty graph (0 vertices) has no distance matrix")
-    x = np.array(dd.dist, dtype=np.int64)
-    if kind == KIND_DSL:
-        np.fill_diagonal(x, dd.trans)  # D(G) has a zero diagonal
+    if kind == KIND_DISTANCE:
+        return dd.dist
+    x = dd.dist.copy()
+    np.fill_diagonal(x, x.sum(axis=1))
     x.setflags(write=False)
     return x
 

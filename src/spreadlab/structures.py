@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .errors import AcyclicError, NotCactusError
 from .graph import DistanceData, Graph, is_connected
 
@@ -77,7 +79,7 @@ def maximum_cliques(g: Graph) -> WitnessSet:
 def _geodesics(g: Graph, dd: DistanceData, u: int, v: int) -> Iterator[tuple[int, ...]]:
     """All shortest u-v paths in ascending order, walked forward from u over
     the neighbours one step closer to v, smallest first."""
-    d = dd.dist[v]
+    d = dd.dist[v].tolist()
     stack = [(u,)]
     while stack:
         path = stack.pop()
@@ -99,19 +101,15 @@ def diameter_paths(g: Graph, dd: DistanceData, cap: int = DIAMETER_PATH_CAP) -> 
     d = dd.diameter
     members: list[tuple[int, ...]] = []
     truncated = False
-    for u in range(g.n):
+    # endpoint pairs u < v at distance d, in row-major order
+    for u, v in np.argwhere(np.triu(dd.dist == d, 1)).tolist():
+        for path in _geodesics(g, dd, u, v):
+            if len(members) >= cap:
+                truncated = True
+                break
+            members.append(path)
         if truncated:
             break
-        for v in range(u + 1, g.n):
-            if dd.dist[u][v] != d:
-                continue
-            for path in _geodesics(g, dd, u, v):
-                if len(members) >= cap:
-                    truncated = True
-                    break
-                members.append(path)
-            if truncated:
-                break
     return WitnessSet(
         kind="diameter_path",
         parameter=d,

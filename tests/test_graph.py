@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,15 +241,16 @@ def test_builtin_corpus():
 def test_builtin_g1_distance_matrix_frozen():
     # the full distance matrix of the first showcase graph, checked by hand
     dd = all_pairs_distances(builtin("G1"))
-    assert dd.dist == (
-        (0, 1, 1, 1, 2, 2, 2),
-        (1, 0, 2, 2, 1, 1, 3),
-        (1, 2, 0, 2, 3, 1, 1),
-        (1, 2, 2, 0, 3, 3, 3),
-        (2, 1, 3, 3, 0, 2, 4),
-        (2, 1, 1, 3, 2, 0, 2),
-        (2, 3, 1, 3, 4, 2, 0),
-    )
+    assert dd.dist.dtype == np.int64 and not dd.dist.flags.writeable
+    assert dd.dist.tolist() == [
+        [0, 1, 1, 1, 2, 2, 2],
+        [1, 0, 2, 2, 1, 1, 3],
+        [1, 2, 0, 2, 3, 1, 1],
+        [1, 2, 2, 0, 3, 3, 3],
+        [2, 1, 3, 3, 0, 2, 4],
+        [2, 1, 1, 3, 2, 0, 2],
+        [2, 3, 1, 3, 4, 2, 0],
+    ]
     assert dd.trans == (9, 10, 10, 14, 15, 11, 15)
     assert sum(dd.trans) == 84
     assert dd.wiener == 42
@@ -259,11 +261,27 @@ def test_builtin_g1_distance_matrix_frozen():
 # metric quantities
 
 
+def grid(rows: int, cols: int) -> Graph:
+    return Graph(rows * cols, [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+                 + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)])
+
+
+def test_vertex_limit_keeps_float32_products_exact():
+    # all_pairs_distances multiplies 0/1 and distance matrices in float32,
+    # whose integers are exact only below 2^24; its entries reach (n-1)^2
+    assert MAX_VERTICES ** 2 < 2 ** 24
+
+
 def test_distances_match_floyd_warshall(rng):
-    for _ in range(25):
-        g = random_connected_graph(rng, rng.randint(2, 10))
-        dd = all_pairs_distances(g)
-        assert [list(r) for r in dd.dist] == floyd_warshall(g)
+    graphs = [random_connected_graph(rng, rng.randint(2, 10)) for _ in range(25)]
+    # diameters 1..69 cross every 2^k - 1, 2^k and 2^k + 1 up to 64, where
+    # the number of squarings steps
+    graphs += [path(n) for n in range(2, 71)] + [cycle(n) for n in range(3, 71)]
+    graphs += [complete(n) for n in range(1, 9)] + [path(1)]
+    graphs += [grid(r, c) for r in range(2, 7) for c in range(r, 9)]
+    graphs += [random_connected_graph(rng, rng.randint(2, 40), extra_edge_prob=0) for _ in range(20)]
+    for g in graphs:
+        assert all_pairs_distances(g).dist.tolist() == floyd_warshall(g), g
 
 
 def test_disconnected_raises_with_witness():
@@ -279,6 +297,23 @@ def test_disconnected_raises_with_witness():
     assert (exc.value.u, exc.value.v) == (0, 3)
     with pytest.raises(NotConnectedError) as exc:
         all_pairs_distances(Graph(3, [(1, 2)]))
+    assert (exc.value.u, exc.value.v) == (0, 1)
+    # P9 plus an isolated vertex: squarings go on joining pairs for three
+    # rounds before the fourth joins none
+    with pytest.raises(NotConnectedError) as exc:
+        all_pairs_distances(Graph(10, [(i, i + 1) for i in range(8)]))
+    assert (exc.value.u, exc.value.v) == (0, 9)
+    # complete components: the first squaring joins nothing; K3 on {0, 2, 5}
+    # and K3 on {1, 3, 4} interleave the labels
+    with pytest.raises(NotConnectedError) as exc:
+        all_pairs_distances(Graph(6, [(0, 2), (0, 5), (2, 5), (1, 3), (1, 4), (3, 4)]))
+    assert (exc.value.u, exc.value.v) == (0, 1)
+    with pytest.raises(NotConnectedError) as exc:
+        all_pairs_distances(Graph(7, [(u, v) for v in range(3) for u in range(v)]
+                                  + [(u, v) for v in range(3, 7) for u in range(3, v)]))
+    assert (exc.value.u, exc.value.v) == (0, 3)
+    with pytest.raises(NotConnectedError) as exc:
+        all_pairs_distances(Graph(2, []))
     assert (exc.value.u, exc.value.v) == (0, 1)
 
 
