@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -36,7 +35,7 @@ METHOD_CACTUS = "cactus"
 GATHER_ENTRIES = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """One evaluated witness of a bound: its coefficients, its quotient and
     the quotient's eigenvalue pair."""
@@ -97,12 +96,13 @@ def _constant(a: np.ndarray) -> np.ndarray:
     return (a == a[:, :1]).all(axis=1)
 
 
-def _quotients(x: np.ndarray, sets) -> Iterator[tuple[QuotientMatrix, int, int, int]]:
-    """Exact 2x2 quotients of a symmetric int64 matrix around vertex sets.
+def _block_sums(x: np.ndarray, sets) -> list[tuple[int, int, int, bool]]:
+    """Integer block sums of a symmetric int64 matrix around vertex sets.
 
     sets are vertex sets S without repeats, all of one size k < n, and each
-    partition is {S, V\\S}. Yields, per set in order, the quotient and its integer block
-    sums X11 over S x S, X12 over S x V\\S and X22 over V\\S x V\\S. The sets
+    partition is {S, V\\S}. Returns, per set in order, (X11, X12, X22,
+    equitable): the sums of x over S x S, S x V\\S and V\\S x V\\S, and
+    whether the sums into each block are constant on S and on V\\S. The sets
     are gathered in blocks of at most GATHER_ENTRIES matrix entries: each
     block sums its sets' rows into `into` (row u of S summed into column u,
     as x is symmetric), so X11 is into summed over S and, with R the row sums
@@ -115,7 +115,8 @@ def _quotients(x: np.ndarray, sets) -> Iterator[tuple[QuotientMatrix, int, int, 
     n = len(x)
     k = len(sets[0])
     row_sums = x.sum(axis=1)
-    total = int(row_sums.sum())
+    total = row_sums.sum()
+    sums = []
     step = max(1, GATHER_ENTRIES // (k * n))
     for lo in range(0, len(sets), step):
         inside = np.array(sets[lo:lo + step], dtype=np.intp)
@@ -126,19 +127,22 @@ def _quotients(x: np.ndarray, sets) -> Iterator[tuple[QuotientMatrix, int, int, 
         outside = np.nonzero(~member)[1].reshape(w, n - k)
         into_in = np.take_along_axis(into, inside, axis=1)
         into_out = np.take_along_axis(into, outside, axis=1)
+        x11 = into_in.sum(axis=1)
         r = row_sums[inside].sum(axis=1)
-        # equitable: the sums into each block are constant on S and on V\S
         equitable = (_constant(into_in) & _constant(row_sums[inside] - into_in)
                      & _constant(into_out) & _constant(row_sums[outside] - into_out))
-        for x11, r_s, eq in zip(into_in.sum(axis=1).tolist(), r.tolist(), equitable.tolist()):
-            x12, x22 = r_s - x11, total - 2 * r_s + x11
-            q = QuotientMatrix(
-                entries=((Fraction(x11, k), Fraction(x12, k)),
-                         (Fraction(x12, n - k), Fraction(x22, n - k))),
-                block_sizes=(k, n - k),
-                equitable=eq,
-            )
-            yield q, x11, x12, x22
+        sums += zip(x11.tolist(), (r - x11).tolist(), (total - 2 * r + x11).tolist(), equitable.tolist())
+    return sums
+
+
+def _quotient(k: int, n: int, x11: int, x12: int, x22: int, equitable: bool) -> QuotientMatrix:
+    """The exact 2x2 quotient around a k-set S from its block sums."""
+    return QuotientMatrix(
+        entries=((Fraction(x11, k), Fraction(x12, k)),
+                 (Fraction(x12, n - k), Fraction(x22, n - k))),
+        block_sizes=(k, n - k),
+        equitable=equitable,
+    )
 
 
 def _witnesses(x: np.ndarray, c: int, signs: tuple[int, int], items) -> list[Witness]:
@@ -146,37 +150,35 @@ def _witnesses(x: np.ndarray, c: int, signs: tuple[int, int], items) -> list[Wit
 
     Each item is (label, vertices, S, s_or_t, a, b), where S is the vertex
     set the partition {S, V\\S} is taken around and (a, b) are the paper's
-    coefficients; every S of one bound has the same size. With C = c|S||V\\S|
-    and the block sums of _quotients, the paper's closed form says
+    coefficients; every S of one bound has the same size k. With C =
+    c*k*(n-k) and the block sums of _block_sums, the paper's closed form says
     C*trace = signs[0]*a and C*det = signs[1]*b; any mismatch raises. The
     eigenvalue pair is (A +- sqrt(A^2 - 4CB)) / 2C for A = C*trace,
     B = C*det, and the bound is its gap.
+
+    Witnesses with equal block sums have equal quotients, so A, B, the
+    quotient and its eigenvalue pair are computed once per distinct block
+    sums and that one QuotientMatrix is shared; the (a, b) check still runs
+    for every witness.
     """
     n = len(x)
+    k = len(items[0][2])
+    C = c * k * (n - k)
+    evaluated = {}
     out = []
-    quotients = _quotients(x, [item[2] for item in items])
-    for (label, vertices, inside, s_or_t, a, b), (q, x11, x12, x22) in zip(items, quotients):
-        k = len(inside)
-        k_out = n - k
-        C = c * k * k_out
-        A = c * (x11 * k_out + x22 * k)
-        B = c * (x11 * x22 - x12 * x12)
+    for (label, vertices, _, s_or_t, a, b), key in zip(items, _block_sums(x, [item[2] for item in items])):
+        if key not in evaluated:
+            x11, x12, x22, _ = key
+            A = c * (x11 * (n - k) + x22 * k)
+            B = c * (x11 * x22 - x12 * x12)
+            root = math.sqrt(A * A - 4 * C * B)
+            evaluated[key] = (A, B, _quotient(k, n, *key), (A + root) / (2 * C), (A - root) / (2 * C), root / C)
+        A, B, q, lam1, lam2, value = evaluated[key]
         if (A, B) != (signs[0] * a, signs[1] * b):
             raise SpreadlabError(
                 f"witness {label}: paper coefficients (a, b) = ({a}, {b}) disagree with the exact "
                 f"quotient, which gives ({signs[0] * A}, {signs[1] * B})")
-        root = math.sqrt(A * A - 4 * C * B)
-        out.append(Witness(
-            label=label,
-            vertices=vertices,
-            a=a,
-            b=b,
-            s_or_t=s_or_t,
-            quotient=q,
-            lam1=(A + root) / (2 * C),
-            lam2=(A - root) / (2 * C),
-            bound_value=root / C,
-        ))
+        out.append(Witness(label, vertices, a, b, s_or_t, q, lam1, lam2, value))
     return out
 
 
@@ -184,8 +186,8 @@ def _members(witness_set, dd, n: int):
     """Each member of a witness set with its vertex names and s, the sum of
     its vertices' transmissions."""
     names = [f"v{v + 1}" for v in range(n)]
-    return [(member, list(map(names.__getitem__, member)), sum(map(dd.trans.__getitem__, member)))
-            for member in witness_set.members]
+    sums = dd.dist.sum(axis=1)[np.array(witness_set.members)].sum(axis=1).tolist()
+    return [(member, list(map(names.__getitem__, member)), s) for member, s in zip(witness_set.members, sums)]
 
 
 # ---------------------------------------------------------------------------
@@ -350,5 +352,7 @@ def legacy_2012_counterexample(g: Graph, v: int) -> LegacyComparison:
         (Fraction(t_delta + delta - 2 * delta * delta, n - delta - 1),
          Fraction(S - 2 * t_delta + 2 * delta * (delta - 1), n - delta - 1)),
     )
-    b2 = next(_quotients(distance_matrix(dd, KIND_DISTANCE), [sorted({v, *g.adjacency[v]})]))[0]
+    closed = sorted({v, *g.adjacency[v]})
+    [sums] = _block_sums(distance_matrix(dd, KIND_DISTANCE), [closed])
+    b2 = _quotient(len(closed), n, *sums)
     return LegacyComparison(b1=b1, b2=b2, equal=(b1 == b2.entries))

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -37,7 +39,15 @@ from spreadlab import (
 from spreadlab.bounds import _witnesses
 from spreadlab.spectral import distance_matrix
 
-from .conftest import around, eig2_real, matrix_rows, random_cactus, random_connected_graph, reference_quotient
+from .conftest import (
+    around,
+    eig2_real,
+    matrix_rows,
+    random_cactus,
+    random_connected_bipartite,
+    random_connected_graph,
+    reference_quotient,
+)
 
 TOL = 1e-8
 
@@ -282,15 +292,18 @@ def test_legacy_disagrees_on_every_small_bipartite_graph():
                     break
 
 
-def test_legacy_b2_is_the_bipartite_distance_witness_quotient():
-    # B2 and the bound's witness at v come from one quotient routine
-    for n in range(4, 8):
-        for g in enumerate_connected_bipartite(n):
-            if g.max_degree() > n - 2:
-                continue
-            for w in bound_bipartite_distance(g).witnesses:
-                v = w.vertices[0]
-                assert legacy_2012_counterexample(g, v).b2 == w.quotient
+def test_legacy_b2_is_the_bipartite_distance_witness_quotient(rng):
+    # B2 and the bound's witness at v come from one quotient routine: every
+    # connected bipartite graph on up to 7 vertices and 40 random ones on up
+    # to 16, at every max-degree vertex
+    graphs = [g for n in range(4, 8) for g in enumerate_connected_bipartite(n)]
+    graphs += [random_connected_bipartite(rng, rng.randint(4, 16)) for _ in range(40)]
+    for g in graphs:
+        if g.max_degree() > g.n - 2:
+            continue
+        for w in bound_bipartite_distance(g).witnesses:
+            v = w.vertices[0]
+            assert legacy_2012_counterexample(g, v).b2 == w.quotient
 
 
 def test_legacy_vertex_validation():
@@ -450,3 +463,47 @@ def test_engine_rejects_perturbed_coefficients():
             _witnesses(x, 3, (-1, 1), [item[:4] + (a, b)])
     with pytest.raises(SpreadlabError, match="disagree"):
         _witnesses(x, 3, (1, 1), [item])  # a sign flipped
+
+
+def test_engine_checks_every_witness_of_a_shared_quotient():
+    # all 12 edges of K_{3,4} split Q(G) alike, so they share one quotient;
+    # a later witness with a wrong (a, b) must still raise, whether it
+    # repeats the first witness's set or only its block sums
+    g = complete_bipartite(3, 4)
+    x = distance_matrix(all_pairs_distances(g), KIND_DSL)
+    first, other = bound_clique(g).witnesses[:2]
+    assert first.vertices != other.vertices
+    items = [(w.label, w.vertices, w.vertices, w.s_or_t, w.a, w.b) for w in (first, other)]
+    assert _witnesses(x, 1, (-1, 1), items) == [first, other]
+    for later in (items[0], items[1]):
+        for a, b in ((later[4] + 1, later[5]), (later[4], later[5] - 1)):
+            with pytest.raises(SpreadlabError, match="disagree"):
+                _witnesses(x, 1, (-1, 1), [items[0], later[:4] + (a, b)])
+
+
+@pytest.mark.parametrize("fn, g", [(bound_clique, complete_bipartite(3, 4)), (bound_diameter, grid(4, 5))],
+                         ids=["clique-K34", "diameter-grid4x5"])
+def test_engine_shares_one_quotient_per_distinct_block_sums(fn, g):
+    report = fn(g)
+    by_value = {}
+    for w in report.witnesses:
+        by_value.setdefault(w.quotient, set()).add(id(w.quotient))
+    assert all(len(ids) == 1 for ids in by_value.values())
+    assert len(by_value) < len(report.witnesses)
+    assert_quotients_match_general(g, report, KIND_DSL)
+
+
+def test_witness_is_a_frozen_replaceable_dataclass():
+    # the benchmark's self-check perturbs witnesses with dataclasses.replace
+    w = bound_diameter(builtin("G1")).witnesses[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.quotient = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.quotient.equitable = not w.quotient.equitable
+    (b11, b12), row2 = w.quotient.entries
+    q = dataclasses.replace(w.quotient, entries=((b11 + Fraction(1, 1000), b12), row2))
+    assert q.entries[0][0] == b11 + Fraction(1, 1000) and q.block_sizes == w.quotient.block_sizes
+    moved = dataclasses.replace(w, quotient=q)
+    assert moved.quotient is q and moved != w
+    assert dataclasses.replace(moved, quotient=w.quotient) == w
+    assert pickle.loads(pickle.dumps(w)) == w
