@@ -7,11 +7,9 @@ integer arithmetic; the average distance degree is an exact Fraction.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, compress, repeat
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,59 +17,67 @@ import numpy as np
 from .errors import NotBipartiteError, NotConnectedError, ParseError, SpreadlabError
 
 GRAPH6_HEADER = ">>graph6<<"
-# Largest vertex count an edge list or a family descriptor may ask for. It is
-# checked before any per-vertex allocation; a dense D(G) of this order already
-# takes 32 MB. It also keeps all_pairs_distances exact in float32: every
-# entry of its products T.A and T*deg is an integer of at most
-# (n-1)*Delta < MAX_VERTICES^2, and float32 holds every integer below 2^24
-# exactly, so the limit must not pass 4096.
+# Largest vertex count a graph6 string, an edge list or a family descriptor
+# may ask for. It is checked before any per-vertex allocation, and Graph
+# refuses more; a dense D(G) of this order already takes 32 MB. It also keeps
+# all_pairs_distances exact in float32: every entry of its products T.A and
+# T*deg is an integer of at most (n-1)*Delta < MAX_VERTICES^2, and float32
+# holds every integer below 2^24 exactly, so the limit must not pass 4096.
 MAX_VERTICES = 2000
 
 
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Immutable after construction: edges are stored as a frozenset of sorted
-    pairs and adjacency as a tuple of frozensets.
+    adj, the n x n adjacency matrix as a read-only bool array, is the only
+    stored form; adjacency, the ascending neighbour tuple of each vertex, is
+    derived from it on first use. edges may be any iterable of vertex pairs
+    or an (m, 2) integer array; repeated and reversed pairs collapse.
     """
-
-    __slots__ = ("n", "edges", "adjacency")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        seen = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            seen.add((min(u, v), max(u, v)))
+        if n > MAX_VERTICES:
+            raise ValueError(f"{n} vertices exceeds the limit of {MAX_VERTICES}")
+        uv = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        # the int64 cast below would truncate float labels without a word
+        if uv.size and uv.dtype.kind not in "iu":
+            raise ValueError(f"vertex labels must be machine integers, got {uv.dtype} labels")
+        u, v = uv.reshape(len(uv), 2).astype(np.int64).T
+        bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
+        if bad.any():
+            x, y = int(u[bad.argmax()]), int(v[bad.argmax()])
+            raise ValueError(f"loop at vertex {x}" if x == y else f"edge ({x}, {y}) out of range for n={n}")
+        adj = np.zeros((n, n), dtype=bool)
+        adj[u, v] = adj[v, u] = True
+        adj.setflags(write=False)
         self.n = n
-        self.edges = frozenset(seen)
-        adj = [set() for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self.adjacency = tuple([frozenset(a) for a in adj])
+        self.adj = adj
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        ends = np.cumsum(self.adj.sum(axis=1)).tolist()
+        flat = np.nonzero(self.adj)[1].tolist()
+        return tuple(tuple(flat[s:e]) for s, e in zip([0] + ends, ends))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(np.count_nonzero(self.adj[v]))
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
+        return int(self.adj.sum(axis=1).max(initial=0))
 
     def edge_count(self) -> int:
-        return len(self.edges)
+        return int(np.count_nonzero(self.adj)) // 2
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and np.array_equal(self.adj, other.adj)
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adj.tobytes()))
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,10 +109,18 @@ class DistanceData:
 # graph6
 
 
-# the bytes '?'..'~' that carry six bits each, and those bits of each data
-# value 0..63, most significant first
-_G6_DATA_BYTES = bytes(range(63, 127))
-_G6_BITS = tuple(tuple((v >> shift) & 1 for shift in range(5, -1, -1)) for v in range(64))
+@lru_cache(maxsize=8)
+def _g6_index(n: int) -> np.ndarray:
+    """Flat indices into an n x n array of the pairs in graph6 bit order.
+
+    graph6 runs over the upper triangle column by column, (0,1), (0,2),
+    (1,2), (0,3), ..., which is the lower triangle row by row. At n = 2000
+    the table takes 16 MB, so only a few sizes are kept. Every caller shares
+    the cached array, so it is read-only.
+    """
+    index = np.flatnonzero(np.tri(n, k=-1, dtype=bool))
+    index.setflags(write=False)
+    return index
 
 
 def _g6_read_n(data: bytes, pos: int) -> tuple[int, int]:
@@ -117,7 +131,8 @@ def _g6_read_n(data: bytes, pos: int) -> tuple[int, int]:
         raise ParseError(f"out-of-range graph6 byte {b} at offset {pos}")
     if b != 126:
         return b - 63, pos + 1
-    # '~': 3-byte (18-bit) size, or '~~' + 6 bytes for the huge form
+    # '~': 3-byte (18-bit) size, or '~~' + 6 bytes for the huge form, which
+    # is read only so that the vertex limit can refuse it
     if pos + 1 < len(data) and data[pos + 1] == 126:
         chunk, start = 6, pos + 2
     else:
@@ -145,6 +160,7 @@ def parse_graph6(text: str) -> Graph:
     except UnicodeEncodeError as exc:
         raise ParseError(f"non-ASCII character {line[exc.start]!r} at offset {exc.start}") from None
     n, pos = _g6_read_n(data, 0)
+    _check_order(n)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - pos < nbytes:
@@ -153,37 +169,29 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(data) - pos > nbytes:
         raise ParseError(f"trailing bytes after graph6 bit stream at byte {pos + nbytes}")
-    body = data[pos:]
-    if body.translate(None, _G6_DATA_BYTES):
-        i, b = next((i, b) for i, b in enumerate(body) if not (63 <= b <= 126))
-        raise ParseError(f"out-of-range graph6 byte {b} at offset {pos + i}")
-    bits = list(chain.from_iterable([_G6_BITS[b - 63] for b in body]))
-    edges = []
-    k = 0
-    # upper triangle, column-major: (0,1), (0,2), (1,2), (0,3), ...
-    for v in range(1, n):
-        edges += zip(compress(range(v), bits[k:k + v]), repeat(v))
-        k += v
-    return Graph(n, edges)
+    # the six data bits of each byte '?'..'~'; bytes below '?' wrap past 63
+    body = np.frombuffer(data[pos:], dtype=np.uint8) - 63
+    if (body > 63).any():
+        i = pos + int(np.argmax(body > 63))
+        raise ParseError(f"out-of-range graph6 byte {data[i]} at offset {i}")
+    bits = np.unpackbits(body[:, None], axis=1)[:, 2:]
+    flat = _g6_index(n)[bits.ravel()[:nbits].astype(bool)]
+    return Graph(n, np.column_stack(np.divmod(flat, n)))
 
 
 def write_graph6(g: Graph) -> str:
     """Encode a graph in graph6 format (bit-exact standard encoding)."""
-    n, adj = g.n, g.adjacency
+    n = g.n
     if n <= 62:
         prefix = chr(n + 63)
-    elif n <= 258047:
-        prefix = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
-        prefix = "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
-    # upper triangle, column-major: (0,1), (0,2), (1,2), (0,3), ...
-    bits = [1 if v in adj[u] else 0 for v in range(1, n) for u in range(v)]
-    bits += [0] * (-len(bits) % 6)
-    body = "".join(
-        chr(63 + (bits[i] << 5 | bits[i + 1] << 4 | bits[i + 2] << 3 | bits[i + 3] << 2 | bits[i + 4] << 1 | bits[i + 5]))
-        for i in range(0, len(bits), 6)
-    )
-    return prefix + body
+        prefix = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    nbits = n * (n - 1) // 2
+    bits = np.zeros(nbits + -nbits % 6, dtype=bool)
+    bits[:nbits] = g.adj.take(_g6_index(n))
+    # packbits fills each row of six bits to a byte from the top
+    body = (np.packbits(bits.reshape(-1, 6), axis=1).ravel() >> 2) + 63
+    return prefix + body.tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +259,7 @@ def _require(cond: bool, message: str) -> None:
 
 def complete(n: int) -> Graph:
     _require(n >= 1, f"complete graph needs n >= 1, got {n}")
-    return Graph(n, [(u, v) for v in range(n) for u in range(v)])
+    return Graph(n, np.column_stack(np.triu_indices(n, 1)))
 
 
 def path(n: int) -> Graph:
@@ -273,7 +281,8 @@ def cycle(n: int) -> Graph:
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with parts 0..a-1 and a..a+b-1."""
     _require(a >= 1 and b >= 1, f"complete bipartite needs a, b >= 1, got ({a}, {b})")
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    i, j = np.divmod(np.arange(a * b), b)
+    return Graph(a + b, np.column_stack((i, a + j)))
 
 
 def kite(n: int, omega: int) -> Graph:
@@ -358,33 +367,33 @@ def builtin_names() -> list[str]:
 # metric quantities
 
 
-def _bfs_distances(g: Graph, source: int) -> list[int]:
-    """Hop counts from source, -1 where unreachable; one frontier list per
-    level, so each vertex reached is one store of the level number."""
+def _levels(g: Graph) -> list[int]:
+    """Hop counts from vertex 0 of a graph with at least one vertex, by
+    breadth-first search with one frontier list per level; raises
+    NotConnectedError naming vertex 0 and the first vertex it cannot reach."""
     adj = g.adjacency
-    dist = [-1] * g.n
-    dist[source] = 0
-    frontier = [source]
-    level = 0
+    level = [-1] * g.n
+    level[0] = 0
+    frontier = [0]
+    depth = 0
     while frontier:
-        level += 1
+        depth += 1
         reached = []
         for x in frontier:
             for y in adj[x]:
-                if dist[y] < 0:
-                    dist[y] = level
+                if level[y] < 0:
+                    level[y] = depth
                     reached.append(y)
         frontier = reached
-    return dist
+    if -1 in level:
+        raise NotConnectedError(0, level.index(-1))
+    return level
 
 
 def check_connected(g: Graph) -> None:
     """Raise NotConnectedError naming two unreachable vertices."""
-    if g.n == 0:
-        return
-    dist = _bfs_distances(g, 0)
-    if -1 in dist:
-        raise NotConnectedError(0, dist.index(-1))
+    if g.n:
+        _levels(g)
 
 
 def is_connected(g: Graph) -> bool:
@@ -411,13 +420,9 @@ def all_pairs_distances(g: Graph) -> DistanceData:
     disconnected.
     """
     n = g.n
-    a = np.zeros((n, n), dtype=bool)
-    if g.edges:
-        uv = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * len(g.edges))
-        a[uv[0::2], uv[1::2]] = a[uv[1::2], uv[0::2]] = True
-    np.fill_diagonal(a, True)
+    a = g.adj | np.eye(n, dtype=bool)
     levels = [a]
-    pairs = n + 2 * len(g.edges)
+    pairs = int(np.count_nonzero(a))
     # two float32 buffers serve every product: f holds a level as 0/1 and p
     # the product. Fresh float32 matrices per level left freed blocks behind
     # and raised peak RSS by ~20 MB at n = 2000.
@@ -451,43 +456,31 @@ def all_pairs_distances(g: Graph) -> DistanceData:
 
 
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]]:
-    """Proper 2-colouring of a connected graph, vertex 0 in the first part.
+    """Proper 2-colouring of a connected graph, vertex 0 in the first part:
+    each vertex is coloured by the parity of its distance from vertex 0.
 
     Raises NotBipartiteError carrying a closed odd walk when an odd cycle
     exists.
     """
-    check_connected(g)
-    color = [-1] * g.n
-    parent = [-1] * g.n
-    if g.n:
-        color[0] = 0
-        q = deque([0])
-        while q:
-            x = q.popleft()
-            for y in g.adjacency[x]:
-                if color[y] < 0:
-                    color[y] = 1 - color[x]
-                    parent[y] = x
-                    q.append(y)
-                elif color[y] == color[x]:
-                    raise NotBipartiteError(_odd_walk(parent, x, y))
-    part_a = frozenset(v for v in range(g.n) if color[v] == 0)
-    part_b = frozenset(v for v in range(g.n) if color[v] == 1)
-    return part_a, part_b
-
-
-def _odd_walk(parent: list[int], x: int, y: int) -> list[int]:
-    # closed walk: x -> root -> y plus the edge y-x; same BFS colour on x and
-    # y makes its length odd
-    up_x = [x]
-    while parent[up_x[-1]] >= 0:
-        up_x.append(parent[up_x[-1]])
-    up_y = [y]
-    while parent[up_y[-1]] >= 0:
-        up_y.append(parent[up_y[-1]])
-    # both chains end at the BFS root; drop the duplicate and close with the
-    # violating edge y-x
-    return up_x + up_y[::-1][1:] + [x]
+    if not g.n:
+        return frozenset(), frozenset()
+    level = np.array(_levels(g))
+    # an edge joins equal or adjacent levels; one within a level closes an
+    # odd cycle. Take the first such edge at the least level and walk each of
+    # its ends down the levels to vertex 0: x -> 0 -> y plus the edge y-x is
+    # a closed walk of 2 * level + 1 steps
+    clash = np.argwhere(g.adj & (level[:, None] == level))
+    if len(clash):
+        x, y = clash[np.argmin(level[clash[:, 0]])].tolist()
+        down = []
+        for v in (x, y):
+            walk = [v]
+            while level[v]:
+                v = next(u for u in g.adjacency[v] if level[u] == level[v] - 1)
+                walk.append(v)
+            down.append(walk)
+        raise NotBipartiteError(down[0] + down[1][-2::-1] + [x])
+    return frozenset(np.flatnonzero(level % 2 == 0).tolist()), frozenset(np.flatnonzero(level % 2).tolist())
 
 
 def is_bipartite(g: Graph) -> bool:

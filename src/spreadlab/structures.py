@@ -87,7 +87,7 @@ def _geodesics(g: Graph, dd: DistanceData, u: int, v: int) -> Iterator[tuple[int
         if x == v:
             yield path
             continue
-        for y in sorted(g.adjacency[x], reverse=True):
+        for y in reversed(g.adjacency[x]):
             if d[y] == d[x] - 1:
                 stack.append(path + (y,))
 
@@ -135,7 +135,7 @@ def biconnected_components(g: Graph) -> list[list[tuple[int, int]]]:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        stack = [(root, iter(sorted(g.adjacency[root])))]
+        stack = [(root, iter(g.adjacency[root]))]
         while stack:
             v, it = stack[-1]
             advanced = False
@@ -147,7 +147,7 @@ def biconnected_components(g: Graph) -> list[list[tuple[int, int]]]:
                     edge_stack.append((v, w))
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, iter(sorted(g.adjacency[w]))))
+                    stack.append((w, iter(g.adjacency[w])))
                     advanced = True
                     break
                 if disc[w] < disc[v]:

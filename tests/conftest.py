@@ -42,6 +42,11 @@ def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float = 
     return g
 
 
+def edges_of(g: Graph) -> list[tuple[int, int]]:
+    """The edges u < v of g in ascending order, read off its adjacency array."""
+    return [tuple(e) for e in np.argwhere(np.triu(g.adj)).tolist()]
+
+
 def random_symmetric(rnd: random.Random, n: int, scale: float = 5.0) -> np.ndarray:
     """Random real symmetric n x n array, entries uniform in [-scale, scale]."""
     a = np.array([[rnd.uniform(-scale, scale) for _ in range(n)] for _ in range(n)])

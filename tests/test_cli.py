@@ -67,7 +67,7 @@ def test_oversized_graph_exits_domain_without_building(tmp_path, capsys, monkeyp
     monkeypatch.setattr(Graph, "__init__", refuse)
     f = tmp_path / "g.txt"
     f.write_text("0 1000000000\n")
-    for argv in (["--edges", str(f)], ["--family", "complete:100000"]):
+    for argv in (["--edges", str(f)], ["--family", "complete:100000"], ["--g6", "~?^P"]):
         code, out, err = run(capsys, "spectrum", *argv)
         assert code == EXIT_DOMAIN and out == "" and "exceeds the limit" in err
 

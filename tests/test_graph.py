@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from spreadlab import (
     write_graph6,
 )
 
-from .conftest import random_connected_graph
+from .conftest import edges_of, random_connected_graph
 
 
 # ---------------------------------------------------------------------------
@@ -42,10 +43,11 @@ from .conftest import random_connected_graph
 def encode_graph6_oracle(g: Graph) -> str:
     """Reference graph6 encoder written independently of the library's."""
     assert g.n <= 62
+    edges = set(edges_of(g))
     bits = ""
     for v in range(1, g.n):
         for u in range(v):
-            bits += "1" if (min(u, v), max(u, v)) in g.edges else "0"
+            bits += "1" if (min(u, v), max(u, v)) in edges else "0"
     bits += "0" * (-len(bits) % 6)
     out = chr(g.n + 63)
     for i in range(0, len(bits), 6):
@@ -76,14 +78,37 @@ def test_graph_rejects_loops_and_out_of_range():
         Graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph(-1, [])
+    with pytest.raises(ValueError, match="machine integers"):
+        Graph(3, [(0, 1.5)])
+    with pytest.raises(ValueError, match="machine integers"):
+        Graph(3, [(0, 2 ** 70)])
+    # a graph holds an n x n array, so Graph itself refuses too many vertices
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        Graph(MAX_VERTICES + 1, [])
 
 
 def test_graph_deduplicates_and_normalises_edges():
     g = Graph(3, [(0, 1), (1, 0), (2, 1)])
     assert g.edge_count() == 2
-    assert sorted(g.edges) == [(0, 1), (1, 2)]
+    assert edges_of(g) == [(0, 1), (1, 2)]
     assert g == Graph(3, [(1, 2), (0, 1)])
     assert hash(g) == hash(Graph(3, [(1, 2), (0, 1)]))
+    # one graph built five ways
+    edges = [(0, 4), (4, 1), (2, 0), (3, 4), (1, 2), (2, 3), (0, 3)]
+    h = Graph(5, edges)
+    for other in [
+        Graph(5, edges[::-1]),
+        Graph(5, edges + [(v, u) for u, v in edges]),
+        Graph(5, np.array(edges)),
+        parse_graph6(write_graph6(h)),
+        Graph(5, (e for e in edges)),
+    ]:
+        assert other == h and hash(other) == hash(h)
+    assert edges_of(h) == sorted((min(e), max(e)) for e in edges)
+    with pytest.raises(ValueError):
+        h.adj[0, 1] = False
+    # the witness order in structures relies on ascending neighbours
+    assert h.adjacency == ((2, 3, 4), (2, 4), (0, 1, 3), (0, 2, 4), (0, 1, 3))
 
 
 def test_degrees():
@@ -119,6 +144,21 @@ def test_graph6_long_form_sizes():
     enc = write_graph6(g)
     assert enc.startswith("~")
     assert parse_graph6(enc) == g
+
+
+def test_graph6_matches_networkx_codec():
+    rnd = random.Random(63)
+    graphs = [nx.gnp_random_graph(n, 0.5, seed=rnd.randrange(2 ** 32)) for n in (1, 2, 62, 63, 64, 200)]
+    for h in graphs + [nx.empty_graph(MAX_VERTICES)]:
+        want = nx.to_graph6_bytes(h, header=False).decode("ascii").strip()
+        g = parse_graph6(want)
+        assert g.n == len(h) and edges_of(g) == sorted((min(e), max(e)) for e in h.edges)
+        assert write_graph6(g) == want
+    # K_2000 as a networkx graph is two million Python edges: encoding it
+    # there too took ~10 s and ~750 MB, so only networkx's decoder reads it
+    k = complete(MAX_VERTICES)
+    h = nx.from_graph6_bytes(write_graph6(k).encode())
+    assert len(h) == MAX_VERTICES and h.number_of_edges() == k.edge_count() == MAX_VERTICES * (MAX_VERTICES - 1) // 2
 
 
 def test_graph6_errors_name_byte_offsets():
@@ -190,6 +230,9 @@ def no_graph_built(monkeypatch):
     (generate, "complete:100000"),
     (generate, f"complete_bipartite:{MAX_VERTICES},1"),
     (generate, f"kite:{MAX_VERTICES + 1},3"),
+    # 2001 in the 4-byte size form, with no body, and the largest '~~' size
+    (parse_graph6, "~?^P"),
+    (parse_graph6, "~~~~~~~~"),
 ])
 def test_vertex_count_over_limit_rejected_before_allocation(no_graph_built, build, text):
     with pytest.raises(ParseError, match="exceeds the limit"):
@@ -331,7 +374,7 @@ def test_bipartition_parts_and_odd_walk(rng):
             assert not is_bipartite(g)
         else:
             assert a | b == set(range(g.n)) and not (a & b)
-            for u, v in g.edges:
+            for u, v in edges_of(g):
                 assert (u in a) != (v in a)
             assert is_bipartite(g)
 

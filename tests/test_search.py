@@ -17,7 +17,7 @@ from spreadlab.cli import main
 from spreadlab.errors import SpreadlabError
 from spreadlab.spectral import KIND_DSL, spread
 
-from .conftest import names_balanced_complete_bipartite
+from .conftest import edges_of, names_balanced_complete_bipartite
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +83,7 @@ def test_enumeration_counts_frozen():
 
 def networkx_graph(g: Graph) -> nx.Graph:
     h = nx.empty_graph(g.n)
-    h.add_edges_from(g.edges)
+    h.add_edges_from(edges_of(g))
     return h
 
 

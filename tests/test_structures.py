@@ -29,7 +29,7 @@ from spreadlab import (
 )
 from spreadlab.structures import _geodesics, biconnected_components, maximal_cliques
 
-from .conftest import cycle_internal_sum, path_internal_sum, random_cactus, random_connected_graph
+from .conftest import cycle_internal_sum, edges_of, path_internal_sum, random_cactus, random_connected_graph
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,7 @@ def test_biconnected_components_partition_edges(rng):
         blocks = biconnected_components(g)
         seen = [tuple(sorted((min(u, v), max(u, v)) for (u, v) in b)) for b in blocks]
         flat = sorted(e for b in seen for e in b)
-        assert flat == sorted(g.edges)
+        assert flat == edges_of(g)
 
 
 def test_cactus_detection():
