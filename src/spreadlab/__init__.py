@@ -57,9 +57,7 @@ from .spectral import (
     KIND_DISTANCE,
     KIND_DSL,
     SpreadReport,
-    closed_form_spread,
     kab_distance_spectrum,
-    kab_q_extremes,
     kab_q_spectrum,
     spread,
 )

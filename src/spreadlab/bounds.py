@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DegenerateBoundError, SpreadlabError
 from .graph import Graph, all_pairs_distances, average_distance_degree, bipartition
 from .quotient import QuotientMatrix
-from .spectral import KIND_DISTANCE, KIND_DSL, closed_form_spread, distance_matrix, matrix_spread
+from .spectral import KIND_DISTANCE, KIND_DSL, distance_matrix, kab_distance_spectrum, kab_q_spectrum, matrix_spread
 from .structures import DIAMETER_PATH_CAP, cactus_longest_cycles, diameter_paths, maximum_cliques
 
 METHOD_BIPARTITE_DISTANCE = "bipartite_distance"
@@ -202,7 +202,8 @@ def _bipartite_bound(g: Graph, kind: str) -> BoundReport:
     method = METHOD_BIPARTITE_DISTANCE if kind == KIND_DISTANCE else METHOD_BIPARTITE_DSL
     if n == 1 or delta == n - 1:
         # nothing to bound, or bipartite with a universal vertex: the star; exact closed forms
-        value = 0.0 if n == 1 else closed_form_spread("star_distance" if kind == KIND_DISTANCE else "deltamax_dsl", n)
+        star = kab_distance_spectrum if kind == KIND_DISTANCE else kab_q_spectrum
+        value = 0.0 if n == 1 else star(1, n - 1).spread
         return _report(method, "max_degree", delta, true_report, closed_value=value)
 
     S = sum(dd.trans)
@@ -249,8 +250,8 @@ def bound_clique(g: Graph) -> BoundReport:
     if omega < 2:
         raise SpreadlabError(f"clique bound needs omega >= 2, got omega={omega}")
     if omega == n:
-        return _report(METHOD_CLIQUE, "clique_number", omega, true_report,
-                       closed_value=closed_form_spread("complete_dsl", n))
+        # Q(K_n) = J + (n-2)I: eigenvalues 2n-2 and n-2, spread n
+        return _report(METHOD_CLIQUE, "clique_number", omega, true_report, closed_value=float(n))
     W = dd.wiener
     items = [
         ("{" + ",".join(names) + "}", member, member, Fraction(s),
@@ -271,8 +272,8 @@ def bound_diameter(g: Graph, cap: int = DIAMETER_PATH_CAP) -> BoundReport:
     n = g.n
     d = dd.diameter
     if d == 1:
-        return _report(METHOD_DIAMETER, "diameter", d, true_report,
-                       closed_value=closed_form_spread("complete_dsl", n))
+        # Q(K_n) = J + (n-2)I: eigenvalues 2n-2 and n-2, spread n
+        return _report(METHOD_DIAMETER, "diameter", d, true_report, closed_value=float(n))
     if d == n - 1:
         raise DegenerateBoundError(
             f"diameter {d} = n-1: the partition around a diameter path has an empty second block")

@@ -288,12 +288,9 @@ def complete_bipartite(a: int, b: int) -> Graph:
 def kite(n: int, omega: int) -> Graph:
     """Clique on 0..omega-1 with a path appended at vertex 0."""
     _require(2 <= omega <= n, f"kite needs 2 <= omega <= n, got (n={n}, omega={omega})")
-    edges = [(u, v) for v in range(omega) for u in range(v)]
-    prev = 0
-    for v in range(omega, n):
-        edges.append((prev, v))
-        prev = v
-    return Graph(n, edges)
+    tail = np.arange(omega, n)
+    clique = np.column_stack(np.triu_indices(omega, 1))
+    return Graph(n, np.vstack((clique, np.column_stack((np.r_[0, tail][:-1], tail)))))
 
 
 _FAMILIES = {

@@ -33,6 +33,10 @@ class Spectrum:
     def least(self) -> float:
         return self.values[-1]
 
+    @property
+    def spread(self) -> float:
+        return self.values[0] - self.values[-1]
+
     def multiplicities(self) -> list[tuple[float, int]]:
         """Group eigenvalues less than GROUP_TOL apart; each group reports its
         mean value."""

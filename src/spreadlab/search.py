@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import SpreadlabError
 from .graph import Graph, complete_bipartite, write_graph6
-from .spectral import KIND_DSL, kab_q_extremes, spread
+from .spectral import KIND_DSL, kab_q_spectrum, spread
 
 CONJECTURE_MAX_N = 10
 EQUALITY_TOL = 1e-6
@@ -168,7 +168,7 @@ def check_monotonicity(n: int) -> list[float]:
     """[S_Q(K_{1,n-1}), ..., S_Q(K_{floor,ceil})], strictly decreasing."""
     if n < 4:
         raise ValueError(f"monotonicity chain needs n >= 4, got {n}")
-    values = [kab_q_extremes(a, n)[2] for a in range(1, n // 2 + 1)]
+    values = [kab_q_spectrum(a, n - a).spread for a in range(1, n // 2 + 1)]
     for x, y in zip(values, values[1:]):
         if not x > y:
             raise SpreadlabError(f"spread chain is not strictly decreasing at n={n}: {values}")

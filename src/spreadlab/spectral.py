@@ -2,9 +2,8 @@
 
 Each spread builds D(G) or Q(G) once, as a read-only int64 array, and takes
 its spectrum from linalg.eigenvalues_symmetric on that array. Also houses
-every closed-form spectrum/spread used by the bounds: the complete-bipartite
-distance and DSL spectra, the star distance spread and the maximum-degree
-DSL spread.
+the closed-form distance and DSL spectra of K_{a,b}; the bounds read their
+star cases off them.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ def matrix_spread(x: np.ndarray, kind: str) -> SpreadReport:
         kind=kind,
         rho_max=spec.largest,
         rho_min=spec.least,
-        spread=spec.largest - spec.least,
+        spread=spec.spread,
         spectrum=spec,
     )
 
@@ -94,57 +93,6 @@ def kab_q_spectrum(a: int, b: int) -> Spectrum:
     values += [float(2 * n - a - 4)] * (b - 1)
     values += [float(2 * n - b - 4)] * (a - 1)
     return Spectrum.from_values(values)
-
-
-def kab_q_extremes(a: int, n: int) -> tuple[float, float, float]:
-    """(q, q_min, spread) of Q(K_{a,n-a}) in closed form.
-
-    Requires 1 <= a and 2a <= n. Both extremes are read off the whole
-    spectrum (kab_q_spectrum): q is the larger quotient root, and q_min is
-    n+a-4 for a > 1. For a = 1 (the star) q_min is the smaller quotient root,
-    except at n = 3, where the leaf eigenvalue 2n-5 = 1 lies below it.
-    """
-    if not (1 <= a and 2 * a <= n):
-        raise ValueError(f"need 1 <= a and 2a <= n, got (a={a}, n={n})")
-    spec = kab_q_spectrum(a, n - a)
-    return spec.largest, spec.least, spec.largest - spec.least
-
-
-# ---------------------------------------------------------------------------
-# closed-form spreads
-
-
-def closed_form_spread(descriptor: str, n: int) -> float:
-    """Closed-form spreads:
-
-    - star_distance: distance spread of K_{1,n-1} (0 for n=1, 2 for n=2,
-      n + sqrt(n^2 - 3n + 3) for n >= 3);
-    - deltamax_dsl: DSL spread of a bipartite graph with a vertex adjacent to
-      all others, i.e. of K_{1,n-1}, n >= 2. Its Q spectrum is the quotient
-      pair (5n-8 +- r)/2 with r = sqrt(9n^2 - 32n + 32) and the leaf
-      eigenvalue 2n-5 of multiplicity n-2. The spread is r for n = 2 and
-      n >= 4, where (2n-7)(n-1) >= 0 puts 2n-5 above the smaller quotient
-      root, and (5 + sqrt(17))/2 for n = 3, where 2n-5 = 1 is the least;
-    - complete_dsl: DSL spread of K_n, which is n for n >= 2 (from q = 2n-2
-      and q_min = n-2) and 0 for n = 1.
-    """
-    if descriptor == "star_distance":
-        if n < 1:
-            raise ValueError(f"star_distance needs n >= 1, got {n}")
-        if n == 1:
-            return 0.0
-        if n == 2:
-            return 2.0
-        return n + math.sqrt(n * n - 3 * n + 3)
-    if descriptor == "deltamax_dsl":
-        if n < 2:
-            raise ValueError(f"deltamax_dsl needs n >= 2, got {n}")
-        return kab_q_extremes(1, n)[2]
-    if descriptor == "complete_dsl":
-        if n < 1:
-            raise ValueError(f"complete_dsl needs n >= 1, got {n}")
-        return float(n) if n >= 2 else 0.0
-    raise SpreadlabError(f"unknown closed-form descriptor {descriptor!r}")
 
 
 def _positive(a: int, b: int) -> None:

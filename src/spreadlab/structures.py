@@ -8,6 +8,7 @@ the transmissions over each witness themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterator
 
 import numpy as np
@@ -20,14 +21,11 @@ DIAMETER_PATH_CAP = 10000
 
 @dataclass(frozen=True)
 class WitnessSet:
-    """A family of substructures of one kind.
-
-    kind is "clique", "diameter_path" or "cycle"; parameter is omega, d or l.
-    members are vertex lists (cliques sorted, paths end-to-end, cycles in
-    cyclic order).
+    """A family of substructures of one kind: maximum cliques, diameter paths
+    or longest cycles, with parameter omega, d or l. members are vertex lists
+    (cliques sorted, paths end-to-end, cycles in cyclic order).
     """
 
-    kind: str
     parameter: int
     members: tuple[tuple[int, ...], ...]
     truncated: bool = False
@@ -65,11 +63,7 @@ def maximum_cliques(g: Graph) -> WitnessSet:
     """All cliques of maximum order, each as a sorted vertex tuple."""
     cliques = maximal_cliques(g)
     omega = max((len(c) for c in cliques), default=0)
-    return WitnessSet(
-        kind="clique",
-        parameter=omega,
-        members=tuple(c for c in cliques if len(c) == omega),
-    )
+    return WitnessSet(parameter=omega, members=tuple(c for c in cliques if len(c) == omega))
 
 
 # ---------------------------------------------------------------------------
@@ -99,23 +93,11 @@ def diameter_paths(g: Graph, dd: DistanceData, cap: int = DIAMETER_PATH_CAP) -> 
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     d = dd.diameter
-    members: list[tuple[int, ...]] = []
-    truncated = False
-    # endpoint pairs u < v at distance d, in row-major order
-    for u, v in np.argwhere(np.triu(dd.dist == d, 1)).tolist():
-        for path in _geodesics(g, dd, u, v):
-            if len(members) >= cap:
-                truncated = True
-                break
-            members.append(path)
-        if truncated:
-            break
-    return WitnessSet(
-        kind="diameter_path",
-        parameter=d,
-        members=tuple(members),
-        truncated=truncated,
-    )
+    # endpoint pairs u < v at distance d, in row-major order; one path past
+    # the cap is built to tell a full family from a truncated one
+    pairs = np.argwhere(np.triu(dd.dist == d, 1)).tolist()
+    members = list(islice(chain.from_iterable(_geodesics(g, dd, u, v) for u, v in pairs), cap + 1))
+    return WitnessSet(parameter=d, members=tuple(members[:cap]), truncated=len(members) > cap)
 
 
 # ---------------------------------------------------------------------------
@@ -123,72 +105,45 @@ def diameter_paths(g: Graph, dd: DistanceData, cap: int = DIAMETER_PATH_CAP) -> 
 
 
 def biconnected_components(g: Graph) -> list[list[tuple[int, int]]]:
-    """Edge sets of the biconnected blocks (iterative Hopcroft-Tarjan)."""
+    """Edge sets of the biconnected blocks (iterative Hopcroft-Tarjan), each
+    in the order the search met its edges.
+
+    A stack entry is (v, its parent, its neighbour iterator, the index of its
+    tree edge on the edge stack). When v finishes with low[v] >= disc[parent],
+    the edge stack from v's tree edge on is one block.
+    """
     disc = [-1] * g.n
     low = [0] * g.n
     timer = 0
-    edge_stack: list[tuple[int, int]] = []
+    edges: list[tuple[int, int]] = []
     blocks: list[list[tuple[int, int]]] = []
-    parent = [-1] * g.n
     for root in range(g.n):
         if disc[root] >= 0:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        stack = [(root, iter(g.adjacency[root]))]
+        stack = [(root, -1, iter(g.adjacency[root]), 0)]
         while stack:
-            v, it = stack[-1]
-            advanced = False
+            v, parent, it, at = stack[-1]
             for w in it:
-                if w == parent[v]:
-                    continue
                 if disc[w] < 0:
-                    parent[w] = v
-                    edge_stack.append((v, w))
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, iter(g.adjacency[w])))
-                    advanced = True
+                    stack.append((w, v, iter(g.adjacency[w]), len(edges)))
+                    edges.append((v, w))
                     break
-                if disc[w] < disc[v]:
+                if w != parent and disc[w] < disc[v]:
                     # back edge
-                    edge_stack.append((v, w))
+                    edges.append((v, w))
                     low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= disc[pv]:
-                    block: list[tuple[int, int]] = []
-                    while edge_stack:
-                        e = edge_stack.pop()
-                        block.append(e)
-                        if e == (pv, v):
-                            break
-                    blocks.append(block)
+            else:
+                stack.pop()
+                if parent >= 0:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] >= disc[parent]:
+                        blocks.append(edges[at:])
+                        del edges[at:]
     return blocks
-
-
-def _cycle_order(block_edges: list[tuple[int, int]]) -> tuple[int, ...]:
-    """Walk a cycle block into cyclic vertex order, smallest vertex first."""
-    adj: dict[int, list[int]] = {}
-    for u, v in block_edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    start = min(adj)
-    order = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = [w for w in sorted(adj[cur]) if w != prev]
-        step = nxt[0]
-        if step == start:
-            break
-        order.append(step)
-        prev, cur = cur, step
-    return tuple(order)
 
 
 def is_cactus(g: Graph) -> bool:
@@ -207,8 +162,11 @@ def cactus_longest_cycles(g: Graph) -> WitnessSet:
     """Longest cycles of a cactus, via block decomposition.
 
     A block is a cycle exactly when its edge count equals its vertex count;
-    a block with more edges is not allowed in a cactus. Raises AcyclicError
-    when every block is an edge (the graph is a tree).
+    a block with more edges is not allowed in a cactus. A cycle block runs
+    once around its cycle from the vertex where the search entered it; each
+    cycle is rotated to start at its smallest vertex and head towards that
+    vertex's smaller neighbour. Raises AcyclicError when every block is an
+    edge (the graph is a tree).
     """
     cycles: list[tuple[int, ...]] = []
     for block in biconnected_components(g):
@@ -217,12 +175,11 @@ def cactus_longest_cycles(g: Graph) -> WitnessSet:
         vertices = {v for e in block for v in e}
         if len(block) != len(vertices):
             raise NotCactusError(vertices)
-        cycles.append(_cycle_order(block))
+        order = [u for u, _ in block]
+        i = order.index(min(order))
+        order = order[i:] + order[:i]
+        cycles.append(tuple(order if order[1] < order[-1] else order[:1] + order[:0:-1]))
     if not cycles:
         raise AcyclicError("graph is a tree: no cycle, circumference undefined")
     length = max(len(c) for c in cycles)
-    return WitnessSet(
-        kind="cycle",
-        parameter=length,
-        members=tuple(sorted(c for c in cycles if len(c) == length)),
-    )
+    return WitnessSet(parameter=length, members=tuple(sorted(c for c in cycles if len(c) == length)))

@@ -100,6 +100,24 @@ def random_cactus(rng: random.Random, n: int) -> Graph:
     return Graph(n, edges)
 
 
+def relabelled(rng: random.Random, g: Graph) -> Graph:
+    """g with its vertices renamed by a random permutation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in edges_of(g)])
+
+
+def kite_by_lists(n: int, omega: int) -> Graph:
+    """kite(n, omega) built edge by edge from Python lists, as an oracle for
+    the array construction."""
+    edges = [(u, v) for v in range(omega) for u in range(v)]
+    prev = 0
+    for v in range(omega, n):
+        edges.append((prev, v))
+        prev = v
+    return Graph(n, edges)
+
+
 def eig2_real(b: Sequence[Sequence[float]]) -> tuple[float, float]:
     """Roots of the characteristic polynomial of a 2x2 matrix, largest first.
 

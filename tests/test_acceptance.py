@@ -19,7 +19,6 @@ from spreadlab import (
     builtin,
     check_conjecture,
     check_monotonicity,
-    closed_form_spread,
     complete,
     complete_bipartite,
     cycle,
@@ -160,9 +159,9 @@ def test_criterion_08_closed_forms_vs_eigensolver():
                 solved = spread(g, kind).spectrum
                 ok = ok and all(abs(x - y) < TOL for x, y in zip(closed.values, solved.values))
     for n in range(3, 31):
-        ok = ok and within(closed_form_spread("star_distance", n),
+        ok = ok and within(kab_distance_spectrum(1, n - 1).spread,
                            spread(star(n), KIND_DISTANCE).spread, TOL)
-        ok = ok and within(closed_form_spread("deltamax_dsl", n),
+        ok = ok and within(kab_q_spectrum(1, n - 1).spread,
                            spread(star(n), KIND_DSL).spread, TOL)
     for n in range(2, 31):
         ok = ok and spread(complete(n), KIND_DSL).spread == pytest.approx(n, abs=TOL)

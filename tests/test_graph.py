@@ -33,7 +33,7 @@ from spreadlab import (
     write_graph6,
 )
 
-from .conftest import edges_of, random_connected_graph
+from .conftest import edges_of, kite_by_lists, random_connected_graph
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +257,12 @@ def test_generators_shapes():
     k = kite(5, 3)
     assert k.edge_count() == 3 + 2
     assert k.degree(0) == 3  # clique vertex carrying the path
+
+
+def test_kite_matches_list_construction():
+    for n in range(2, 40):
+        for omega in range(2, n + 1):
+            assert kite(n, omega) == kite_by_lists(n, omega), (n, omega)
 
 
 def test_generate_descriptors():

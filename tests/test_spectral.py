@@ -7,11 +7,12 @@ from spreadlab import (
     KIND_DISTANCE,
     KIND_DSL,
     all_pairs_distances,
-    closed_form_spread,
+    bound_bipartite_distance,
+    bound_clique,
+    bound_diameter,
     complete,
     complete_bipartite,
     kab_distance_spectrum,
-    kab_q_extremes,
     kab_q_spectrum,
     spread,
     star,
@@ -89,64 +90,69 @@ def test_kab_spectra_known_values():
 
 
 def test_kab_q_extremes():
-    assert kab_q_extremes(2, 4) == (8.0, 2.0, 6.0)
-    q, qmin, s = kab_q_extremes(2, 5)
-    assert q == pytest.approx(11.372281, abs=5e-7)
-    assert qmin == 3.0 and s == pytest.approx(8.372281, abs=5e-7)
-    _, _, s4 = kab_q_extremes(1, 4)
-    assert s4 == pytest.approx(48 ** 0.5, abs=1e-12)
+    spec = kab_q_spectrum(2, 2)
+    assert (spec.largest, spec.least, spec.spread) == (8.0, 2.0, 6.0)
+    spec = kab_q_spectrum(2, 3)
+    assert spec.largest == pytest.approx(11.372281, abs=5e-7)
+    assert spec.least == 3.0 and spec.spread == pytest.approx(8.372281, abs=5e-7)
+    assert kab_q_spectrum(1, 3).spread == pytest.approx(48 ** 0.5, abs=1e-12)
     # P_3: the leaf eigenvalue 1 lies below the smaller quotient root
-    assert kab_q_extremes(1, 3) == pytest.approx(((7 + 17 ** 0.5) / 2, 1.0, (5 + 17 ** 0.5) / 2), abs=1e-12)
-    with pytest.raises(ValueError):
-        kab_q_extremes(3, 5)
-    # a > 1 matches the eigensolver everywhere it is defined
+    spec = kab_q_spectrum(1, 2)
+    assert (spec.largest, spec.least, spec.spread) == pytest.approx(
+        ((7 + 17 ** 0.5) / 2, 1.0, (5 + 17 ** 0.5) / 2), abs=1e-12)
+    # a > 1 matches the eigensolver
     for n in range(4, 10):
         for a in range(2, n // 2 + 1):
-            q, qmin, s = kab_q_extremes(a, n)
+            spec = kab_q_spectrum(a, n - a)
             rep = spread(complete_bipartite(a, n - a), KIND_DSL)
-            assert q == pytest.approx(rep.rho_max, abs=1e-8)
-            assert qmin == pytest.approx(rep.rho_min, abs=1e-8)
-            assert s == pytest.approx(rep.spread, abs=1e-8)
+            assert spec.largest == pytest.approx(rep.rho_max, abs=1e-8)
+            assert spec.least == pytest.approx(rep.rho_min, abs=1e-8)
+            assert spec.spread == pytest.approx(rep.spread, abs=1e-8)
+
+
+def test_star_distance_spread_is_the_closed_form_bit_for_bit():
+    # the bipartite-distance bound reports this spread on every star, so
+    # this pins its output there byte for byte
+    assert kab_distance_spectrum(1, 1).spread == 2.0
+    for n in range(3, 2001):
+        assert kab_distance_spectrum(1, n - 1).spread == n + math.sqrt(n * n - 3 * n + 3), n
 
 
 def test_star_distance_closed_form():
-    assert closed_form_spread("star_distance", 1) == 0.0
-    assert closed_form_spread("star_distance", 2) == 2.0
+    assert bound_bipartite_distance(star(1)).bound == 0.0
     for n in range(3, 31):
         want = spread(star(n), KIND_DISTANCE).spread
-        assert closed_form_spread("star_distance", n) == pytest.approx(want, abs=1e-8)
+        assert kab_distance_spectrum(1, n - 1).spread == pytest.approx(want, abs=1e-8)
 
 
 def test_deltamax_dsl_closed_form():
     for n in range(4, 31):
         want = spread(star(n), KIND_DSL).spread
-        assert closed_form_spread("deltamax_dsl", n) == pytest.approx(want, abs=1e-8)
+        assert kab_q_spectrum(1, n - 1).spread == pytest.approx(want, abs=1e-8)
     # at n = 3 the leaf eigenvalue 1 of Q(P_3) lies below the smaller quotient
     # root, so the spread is (5 + sqrt(17))/2; the bare sqrt(9n^2 - 32n + 32)
     # = sqrt(17) undershoots it there
     true3 = spread(star(3), KIND_DSL).spread
-    assert closed_form_spread("deltamax_dsl", 3) == pytest.approx((5 + 17 ** 0.5) / 2, abs=1e-12)
-    assert closed_form_spread("deltamax_dsl", 3) == pytest.approx(true3, abs=1e-8)
+    assert kab_q_spectrum(1, 2).spread == pytest.approx((5 + 17 ** 0.5) / 2, abs=1e-12)
+    assert kab_q_spectrum(1, 2).spread == pytest.approx(true3, abs=1e-8)
     assert math.sqrt(9 * 3 * 3 - 32 * 3 + 32) < true3 - 0.4
 
 
 def test_complete_dsl_closed_form():
-    assert closed_form_spread("complete_dsl", 1) == 0.0
+    assert spread(complete(1), KIND_DSL).spread == 0.0
     for n in range(2, 31):
         want = spread(complete(n), KIND_DSL).spread
-        assert closed_form_spread("complete_dsl", n) == pytest.approx(want, abs=1e-8)
-        assert closed_form_spread("complete_dsl", n) == float(n)
+        assert want == pytest.approx(n, abs=1e-8)
+        assert bound_clique(complete(n)).bound == float(n)
+        assert bound_diameter(complete(n)).bound == float(n)
 
 
 def test_closed_form_errors():
-    from spreadlab.errors import SpreadlabError
-
+    # K_{1,0} has no spectrum: the star bounds of K_1 never ask for it
     with pytest.raises(ValueError):
-        closed_form_spread("star_distance", 0)
+        kab_distance_spectrum(1, 0)
     with pytest.raises(ValueError):
-        closed_form_spread("deltamax_dsl", 1)
-    with pytest.raises(SpreadlabError):
-        closed_form_spread("mystery", 5)
+        kab_q_spectrum(1, 0)
 
 
 def test_spectra_match_numpy_oracle(rng):

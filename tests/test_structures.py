@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 import spreadlab
@@ -29,7 +30,14 @@ from spreadlab import (
 )
 from spreadlab.structures import _geodesics, biconnected_components, maximal_cliques
 
-from .conftest import cycle_internal_sum, edges_of, path_internal_sum, random_cactus, random_connected_graph
+from .conftest import (
+    cycle_internal_sum,
+    edges_of,
+    path_internal_sum,
+    random_cactus,
+    random_connected_graph,
+    relabelled,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +157,59 @@ def test_biconnected_components_partition_edges(rng):
         seen = [tuple(sorted((min(u, v), max(u, v)) for (u, v) in b)) for b in blocks]
         flat = sorted(e for b in seen for e in b)
         assert flat == edges_of(g)
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(edges_of(g))
+    return h
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    return Graph(g.n + h.n, edges_of(g) + [(u + g.n, v + g.n) for u, v in edges_of(h)])
+
+
+def canonical_cycle(cycle) -> tuple[int, ...]:
+    """A cycle's least rotation over both directions: its smallest vertex
+    first, then that vertex's smaller neighbour."""
+    turns = [tuple(c[i:] + c[:i]) for c in (list(cycle), list(cycle)[::-1]) for i in range(len(cycle))]
+    return min(turns)
+
+
+def test_biconnected_components_match_networkx(rng):
+    graphs = []
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        graphs.append(random_connected_graph(rng, n, extra_edge_prob=rng.choice([0.0, 0.1, 0.2, 0.4])))
+        graphs.append(relabelled(rng, random_cactus(rng, rng.randint(1, 16))))
+        # disconnected, with an isolated vertex now and then
+        parts = [random_connected_graph(rng, rng.randint(1, 6), extra_edge_prob=0.3),
+                 relabelled(rng, random_cactus(rng, rng.randint(1, 8)))]
+        graphs.append(relabelled(rng, disjoint_union(*parts)))
+    for g in graphs:
+        blocks = biconnected_components(g)
+        mine = [frozenset(frozenset(e) for e in b) for b in blocks]
+        want = {frozenset(frozenset(e) for e in b) for b in nx.biconnected_component_edges(to_networkx(g))}
+        assert len(set(mine)) == len(mine) and set(mine) == want
+        assert sum(map(len, blocks)) == g.edge_count()
+
+
+def test_cactus_longest_cycles_match_networkx_cycle_basis(rng):
+    # on a cactus every cycle is in the cycle basis, and nothing else is
+    for _ in range(60):
+        g = relabelled(rng, random_cactus(rng, rng.randint(2, 18)))
+        if rng.random() < 0.3:
+            g = relabelled(rng, disjoint_union(g, random_cactus(rng, rng.randint(1, 10))))
+        cycles = [canonical_cycle(c) for c in nx.cycle_basis(to_networkx(g))]
+        if not cycles:
+            with pytest.raises(AcyclicError):
+                cactus_longest_cycles(g)
+            continue
+        length = max(map(len, cycles))
+        ws = cactus_longest_cycles(g)
+        assert ws.parameter == length
+        assert ws.members == tuple(sorted(c for c in cycles if len(c) == length))
 
 
 def test_cactus_detection():
