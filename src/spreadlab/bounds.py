@@ -22,7 +22,7 @@ from .errors import DegenerateBoundError, SpreadlabError
 from .graph import Graph, all_pairs_distances, average_distance_degree, bipartition
 from .quotient import QuotientMatrix
 from .spectral import KIND_DISTANCE, KIND_DSL, distance_matrix, kab_distance_spectrum, kab_q_spectrum, matrix_spread
-from .structures import DIAMETER_PATH_CAP, cactus_longest_cycles, diameter_paths, maximum_cliques
+from .structures import WITNESS_CAP, cactus_longest_cycles, diameter_paths, maximum_cliques
 
 METHOD_BIPARTITE_DISTANCE = "bipartite_distance"
 METHOD_BIPARTITE_DSL = "bipartite_dsl"
@@ -182,12 +182,19 @@ def _witnesses(x: np.ndarray, c: int, signs: tuple[int, int], items) -> list[Wit
     return out
 
 
-def _members(witness_set, dd, n: int):
-    """Each member of a witness set with its vertex names and s, the sum of
-    its vertices' transmissions."""
-    names = [f"v{v + 1}" for v in range(n)]
-    sums = dd.dist.sum(axis=1)[np.array(witness_set.members)].sum(axis=1).tolist()
-    return [(member, list(map(names.__getitem__, member)), s) for member, s in zip(witness_set.members, sums)]
+def _set_witnesses(x: np.ndarray, dd, c: int, signs: tuple[int, int], witness_set, label, coefficients):
+    """One witness per member of witness_set, for a bound whose (a, b) =
+    coefficients(s) depend only on s, the sum of the member's transmissions.
+    The sums take one gather, and Fraction(s) and (a, b) are formed once per
+    distinct s. label is (open, separator, close) around the vertex names."""
+    names = [f"v{v + 1}" for v in range(len(x))]
+    members = witness_set.members
+    sums = dd.dist.sum(axis=1)[np.array(members)].sum(axis=1).tolist()
+    per_s = {s: (Fraction(s), *coefficients(s)) for s in set(sums)}
+    start, sep, end = label
+    items = [(start + sep.join(map(names.__getitem__, member)) + end, member, member, *per_s[s])
+             for member, s in zip(members, sums)]
+    return _witnesses(x, c, signs, items)
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +213,13 @@ def _bipartite_bound(g: Graph, kind: str) -> BoundReport:
         value = 0.0 if n == 1 else star(1, n - 1).spread
         return _report(method, "max_degree", delta, true_report, closed_value=value)
 
-    S = sum(dd.trans)
+    trans = dd.dist.sum(axis=1)
+    S = int(trans.sum())
     W = S // 2
+    tops = np.flatnonzero(g.adj.sum(axis=1) == delta)
     items = []
-    for v in range(n):
-        if g.degree(v) != delta:
-            continue
-        d_v = dd.trans[v]
-        t_v = average_distance_degree(g, dd, v)
-        t_delta = int(t_v * delta)  # t_v * Delta, an integer
+    # d_v is v's transmission and t_delta = t_v * Delta the sum of its neighbours'
+    for v, d_v, t_delta in zip(tops.tolist(), trans[tops].tolist(), (g.adj[tops] @ trans).tolist()):
         if kind == KIND_DISTANCE:
             a = (delta + 1) * (S - 2 * d_v - 2 * t_delta) + 2 * n * delta * delta
             b = d_v * d_v - 2 * S * delta * delta + 2 * d_v * t_delta + t_delta * t_delta
@@ -222,7 +227,7 @@ def _bipartite_bound(g: Graph, kind: str) -> BoundReport:
             a = 4 * (W - d_v - t_delta) * (delta + 1) + 2 * n * delta * delta + n * d_v + n * t_delta
             b = (4 * d_v * d_v + 8 * d_v * t_delta + 4 * t_delta * t_delta
                  - 8 * W * delta * delta - 4 * W * d_v - 4 * W * t_delta)
-        items.append((f"v{v + 1}", (v,), sorted({v, *g.adjacency[v]}), t_v, a, b))
+        items.append((f"v{v + 1}", (v,), sorted({v, *g.adjacency[v]}), Fraction(t_delta, delta), a, b))
     return _report(method, "max_degree", delta, true_report, _witnesses(x, 1, (1, -1), items))
 
 
@@ -253,20 +258,17 @@ def bound_clique(g: Graph) -> BoundReport:
         # Q(K_n) = J + (n-2)I: eigenvalues 2n-2 and n-2, spread n
         return _report(METHOD_CLIQUE, "clique_number", omega, true_report, closed_value=float(n))
     W = dd.wiener
-    items = [
-        ("{" + ",".join(names) + "}", member, member, Fraction(s),
-         n * omega * (1 - omega) + 4 * omega * (s - W) - n * s,
-         4 * W * omega * (omega - 1) + 4 * s * (W - s))
-        for member, names, s in _members(cliques, dd, n)
-    ]
-    return _report(METHOD_CLIQUE, "clique_number", omega, true_report, _witnesses(x, 1, (-1, 1), items))
+    witnesses = _set_witnesses(x, dd, 1, (-1, 1), cliques, ("{", ",", "}"), lambda s: (
+        n * omega * (1 - omega) + 4 * omega * (s - W) - n * s,
+        4 * W * omega * (omega - 1) + 4 * s * (W - s)))
+    return _report(METHOD_CLIQUE, "clique_number", omega, true_report, witnesses, truncated=cliques.truncated)
 
 
 # ---------------------------------------------------------------------------
 # diameter bound
 
 
-def bound_diameter(g: Graph, cap: int = DIAMETER_PATH_CAP) -> BoundReport:
+def bound_diameter(g: Graph, cap: int = WITNESS_CAP) -> BoundReport:
     """DSL-spread lower bound indexed by the diameter paths."""
     dd, x, true_report = _analyse(g, KIND_DSL)
     n = g.n
@@ -279,14 +281,10 @@ def bound_diameter(g: Graph, cap: int = DIAMETER_PATH_CAP) -> BoundReport:
             f"diameter {d} = n-1: the partition around a diameter path has an empty second block")
     paths = diameter_paths(g, dd, cap=cap)
     W = dd.wiener
-    items = [
-        ("-".join(names), member, member, Fraction(s),
-         12 * (1 + d) * (s - W) - n * d * (d + 1) * (d + 2) - 3 * n * s,
-         4 * d * (d + 1) * (d + 2) * W + 12 * s * (W - s))
-        for member, names, s in _members(paths, dd, n)
-    ]
-    return _report(METHOD_DIAMETER, "diameter", d, true_report, _witnesses(x, 3, (-1, 1), items),
-                   truncated=paths.truncated)
+    witnesses = _set_witnesses(x, dd, 3, (-1, 1), paths, ("", "-", ""), lambda s: (
+        12 * (1 + d) * (s - W) - n * d * (d + 1) * (d + 2) - 3 * n * s,
+        4 * d * (d + 1) * (d + 2) * W + 12 * s * (W - s)))
+    return _report(METHOD_DIAMETER, "diameter", d, true_report, witnesses, truncated=paths.truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +302,10 @@ def bound_cactus(g: Graph) -> BoundReport:
             f"circumference {l} = n: the partition around the cycle has an empty second block")
     W = dd.wiener
     odd = l % 2  # the odd-l forms add -l*n to a and -4l*W to b
-    items = [
-        ("(" + ",".join(names) + ")", member, member, Fraction(s),
-         l ** 3 * n + 4 * n * s - odd * l * n - 16 * l * (s - W),
-         4 * (l ** 3 - odd * l) * W - 16 * s * (s - W))
-        for member, names, s in _members(cycles, dd, n)
-    ]
-    return _report(METHOD_CACTUS, "circumference", l, true_report, _witnesses(x, 4, (1, 1), items))
+    witnesses = _set_witnesses(x, dd, 4, (1, 1), cycles, ("(", ",", ")"), lambda s: (
+        l ** 3 * n + 4 * n * s - odd * l * n - 16 * l * (s - W),
+        4 * (l ** 3 - odd * l) * W - 16 * s * (s - W)))
+    return _report(METHOD_CACTUS, "circumference", l, true_report, witnesses)
 
 
 # ---------------------------------------------------------------------------

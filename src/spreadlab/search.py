@@ -34,7 +34,7 @@ from itertools import chain, combinations_with_replacement, islice, permutations
 import numpy as np
 
 from .errors import SpreadlabError
-from .graph import Graph, complete_bipartite, write_graph6
+from .graph import Graph, write_graph6
 from .spectral import KIND_DSL, kab_q_spectrum, spread
 
 CONJECTURE_MAX_N = 10
@@ -335,9 +335,10 @@ def check_conjecture(
                 os.fsync(ckpt_fh.fileno())
 
     a0 = n // 2
-    reference = spread(complete_bipartite(a0, n - a0), KIND_DSL).spread
-    # named in the search's own labelling: the all-ones biadjacency key
+    # K_{a0,n-a0} named in the search's own labelling, the all-ones
+    # biadjacency key; it is one of the classes, so its S_Q is already known
     reference_g6 = write_graph6(_key_graph(a0, n - a0, (1 << a0 * (n - a0)) - 1))
+    reference = classes[reference_g6]
 
     counterexamples = []
     for g6, sq in sorted(classes.items()):

@@ -16,7 +16,8 @@ import numpy as np
 from .errors import AcyclicError, NotCactusError
 from .graph import DistanceData, Graph, is_connected
 
-DIAMETER_PATH_CAP = 10000
+# Most members a clique or diameter-path witness set keeps.
+WITNESS_CAP = 10000
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,12 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
 
 
 def maximum_cliques(g: Graph) -> WitnessSet:
-    """All cliques of maximum order, each as a sorted vertex tuple."""
+    """The cliques of maximum order, each as a sorted vertex tuple, in
+    ascending order; truncated at the first WITNESS_CAP."""
     cliques = maximal_cliques(g)
     omega = max((len(c) for c in cliques), default=0)
-    return WitnessSet(parameter=omega, members=tuple(c for c in cliques if len(c) == omega))
+    members = [c for c in cliques if len(c) == omega]
+    return WitnessSet(parameter=omega, members=tuple(members[:WITNESS_CAP]), truncated=len(members) > WITNESS_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +89,7 @@ def _geodesics(g: Graph, dd: DistanceData, u: int, v: int) -> Iterator[tuple[int
                 stack.append(path + (y,))
 
 
-def diameter_paths(g: Graph, dd: DistanceData, cap: int = DIAMETER_PATH_CAP) -> WitnessSet:
+def diameter_paths(g: Graph, dd: DistanceData, cap: int = WITNESS_CAP) -> WitnessSet:
     """All paths whose length equals the diameter, each reported once with the
     lexicographically smaller endpoint first; truncated at cap. dd is the
     graph's all_pairs_distances."""

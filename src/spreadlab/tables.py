@@ -1,9 +1,10 @@
 """Reference numeric cells and their recomputation.
 
 Every published reference value reproduced by this artifact lives here as a
-(name, expected, tolerance) cell next to the code that recomputes it from
-scratch. Four-decimal cells carry a 5e-4 tolerance, one-decimal cells 0.05,
-and the exact K_{2,2} row 1e-8.
+(graph, quantity, expected, tolerance) cell; each quantity name maps to the
+one function of the graph that recomputes it from scratch. Four-decimal
+cells carry a 5e-4 tolerance, one-decimal cells 0.05, and the exact K_{2,2}
+row 1e-8.
 
 A handful of cells are known not to match faithful recomputation (the
 published figures for them are inaccurate); verify_tables reports those as
@@ -13,7 +14,6 @@ failures together with the recomputed value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .bounds import (
     bound_bipartite_distance,
@@ -31,19 +31,6 @@ TOL_EXACT = 1e-8
 
 
 @dataclass(frozen=True)
-class Cell:
-    graph: str
-    quantity: str
-    expected: float
-    tol: float
-    compute: Callable[[], float]
-
-    @property
-    def name(self) -> str:
-        return f"{self.graph}:{self.quantity}"
-
-
-@dataclass(frozen=True)
 class CellResult:
     name: str
     expected: float
@@ -55,98 +42,63 @@ class CellResult:
         return abs(self.computed - self.expected) <= self.tol
 
 
-def _sd(name):
-    return lambda: spread(builtin(name), KIND_DISTANCE).spread
+_QUANTITIES = {
+    "S_D": lambda g: spread(g, KIND_DISTANCE).spread,
+    "q": lambda g: spread(g, KIND_DSL).rho_max,
+    "q_min": lambda g: spread(g, KIND_DSL).rho_min,
+    "S_Q": lambda g: spread(g, KIND_DSL).spread,
+    "S_D_bound": lambda g: bound_bipartite_distance(g).bound,
+    "S_Q_bound": lambda g: bound_bipartite_dsl(g).bound,
+    "S_Q_clique_bound": lambda g: bound_clique(g).bound,
+    "S_Q_diameter_bound": lambda g: bound_diameter(g).bound,
+    "S_Q_cactus_bound": lambda g: bound_cactus(g).bound,
+}
 
+# small bipartite DSL tables, n = 4 then n = 5: (graph, tol, q, q_min, S_Q)
+_DSL_ROWS = [
+    ("K22", TOL_EXACT, 8.0, 2.0, 6.0),
+    ("P4", TOL_4DP, 10.6056, 2.0, 8.6056),
+    ("S4", TOL_4DP, 9.4641, 2.5359, 6.9282),
+    ("K23", TOL_4DP, 11.3723, 3.0, 8.3723),
+    ("H1", TOL_4DP, 13.3441, 3.3113, 10.0328),
+    ("H2", TOL_4DP, 15.3119, 3.6075, 11.7044),
+    ("P5", TOL_4DP, 17.1152, 3.4385, 13.6767),
+    ("S5", TOL_4DP, 13.4244, 3.5756, 9.8488),
+]
 
-def _q(name):
-    return lambda: spread(builtin(name), KIND_DSL).rho_max
-
-
-def _qmin(name):
-    return lambda: spread(builtin(name), KIND_DSL).rho_min
-
-
-def _sq(name):
-    return lambda: spread(builtin(name), KIND_DSL).spread
-
-
-def reference_cells() -> list[Cell]:
-    cells: list[Cell] = []
-
+# (graph, quantity, published value, tolerance), in reporting order
+_CELLS = [
     # distance bounds and spreads for the two bipartite showcase graphs
-    cells += [
-        Cell("G1", "S_D_bound", 15.5960, TOL_4DP, lambda: bound_bipartite_distance(builtin("G1")).bound),
-        Cell("G1", "S_D", 17.6820, TOL_4DP, _sd("G1")),
-        Cell("G2", "S_D_bound", 19.0059, TOL_4DP, lambda: bound_bipartite_distance(builtin("G2")).bound),
-        Cell("G2", "S_D", 20.9674, TOL_4DP, _sd("G2")),
-    ]
-
+    ("G1", "S_D_bound", 15.5960, TOL_4DP),
+    ("G1", "S_D", 17.6820, TOL_4DP),
+    ("G2", "S_D_bound", 19.0059, TOL_4DP),
+    ("G2", "S_D", 20.9674, TOL_4DP),
     # DSL bounds and spreads for the same graphs
-    cells += [
-        Cell("G1", "S_Q_bound", 15.6400, TOL_4DP, lambda: bound_bipartite_dsl(builtin("G1")).bound),
-        Cell("G1", "S_Q", 18.6100, TOL_4DP, _sq("G1")),
-        Cell("G2", "S_Q_bound", 17.8520, TOL_4DP, lambda: bound_bipartite_dsl(builtin("G2")).bound),
-        Cell("G2", "S_Q", 21.1870, TOL_4DP, _sq("G2")),
-    ]
-
-    # small bipartite DSL table, n = 4
-    for name, q, qmin, sq, tol in [
-        ("K22", 8.0, 2.0, 6.0, TOL_EXACT),
-        ("P4", 10.6056, 2.0, 8.6056, TOL_4DP),
-        ("S4", 9.4641, 2.5359, 6.9282, TOL_4DP),
-    ]:
-        cells += [
-            Cell(name, "q", q, tol, _q(name)),
-            Cell(name, "q_min", qmin, tol, _qmin(name)),
-            Cell(name, "S_Q", sq, tol, _sq(name)),
-        ]
-
-    # small bipartite DSL table, n = 5
-    for name, q, qmin, sq in [
-        ("K23", 11.3723, 3.0, 8.3723),
-        ("H1", 13.3441, 3.3113, 10.0328),
-        ("H2", 15.3119, 3.6075, 11.7044),
-        ("P5", 17.1152, 3.4385, 13.6767),
-        ("S5", 13.4244, 3.5756, 9.8488),
-    ]:
-        cells += [
-            Cell(name, "q", q, TOL_4DP, _q(name)),
-            Cell(name, "q_min", qmin, TOL_4DP, _qmin(name)),
-            Cell(name, "S_Q", sq, TOL_4DP, _sq(name)),
-        ]
-
+    ("G1", "S_Q_bound", 15.6400, TOL_4DP),
+    ("G1", "S_Q", 18.6100, TOL_4DP),
+    ("G2", "S_Q_bound", 17.8520, TOL_4DP),
+    ("G2", "S_Q", 21.1870, TOL_4DP),
+    *((name, quantity, value, tol)
+      for name, tol, *values in _DSL_ROWS
+      for quantity, value in zip(("q", "q_min", "S_Q"), values)),
     # clique bound on the kite Ki_{5,3}
-    cells += [
-        Cell("Ki53", "S_Q_clique_bound", 10.6158, TOL_4DP, lambda: bound_clique(kite(5, 3)).bound),
-        Cell("Ki53", "S_Q", 11.3395, TOL_4DP, lambda: spread(kite(5, 3), KIND_DSL).spread),
-    ]
-
+    ("Ki53", "S_Q_clique_bound", 10.6158, TOL_4DP),
+    ("Ki53", "S_Q", 11.3395, TOL_4DP),
     # diameter bound on G1
-    cells += [
-        Cell("G1", "S_Q_diameter_bound", 12.1198, TOL_4DP, lambda: bound_diameter(builtin("G1")).bound),
-    ]
-
+    ("G1", "S_Q_diameter_bound", 12.1198, TOL_4DP),
     # cactus bounds and spreads (one-decimal reference values)
-    cells += [
-        Cell("G3", "S_Q_cactus_bound", 11.5, TOL_1DP, lambda: bound_cactus(builtin("G3")).bound),
-        Cell("G3", "S_Q", 12.8, TOL_1DP, _sq("G3")),
-        Cell("G4", "S_Q_cactus_bound", 13.4, TOL_1DP, lambda: bound_cactus(builtin("G4")).bound),
-        Cell("G4", "S_Q", 16.3, TOL_1DP, _sq("G4")),
-    ]
-    return cells
+    ("G3", "S_Q_cactus_bound", 11.5, TOL_1DP),
+    ("G3", "S_Q", 12.8, TOL_1DP),
+    ("G4", "S_Q_cactus_bound", 13.4, TOL_1DP),
+    ("G4", "S_Q", 16.3, TOL_1DP),
+]
 
 
 def verify_tables(only: str | None = None) -> list[CellResult]:
     """Recompute every reference cell (optionally filtered by graph name)."""
-    results = []
-    for cell in reference_cells():
-        if only is not None and cell.graph != only:
-            continue
-        results.append(CellResult(
-            name=cell.name,
-            expected=cell.expected,
-            computed=cell.compute(),
-            tol=cell.tol,
-        ))
-    return results
+    return [
+        CellResult(f"{name}:{quantity}", expected,
+                   _QUANTITIES[quantity](kite(5, 3) if name == "Ki53" else builtin(name)), tol)
+        for name, quantity, expected, tol in _CELLS
+        if only is None or name == only
+    ]

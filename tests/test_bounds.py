@@ -16,6 +16,7 @@ from spreadlab import (
     NotCactusError,
     SpreadlabError,
     all_pairs_distances,
+    average_distance_degree,
     bound_bipartite_distance,
     bound_bipartite_dsl,
     bound_cactus,
@@ -142,6 +143,24 @@ def test_bipartite_quotient_entries_are_exact():
     assert w.s_or_t == Fraction(34, 3)
 
 
+def test_bipartite_witnesses_carry_the_average_distance_degree(rng):
+    # the bound reads t_v off one product over the max-degree rows; on graphs
+    # with vertices of several degrees it must still be each vertex's mean
+    # neighbour transmission
+    checked = 0
+    while checked < 40:
+        g = random_connected_bipartite(rng, rng.randint(4, 12))
+        if len({g.degree(v) for v in range(g.n)}) == 1 or g.max_degree() == g.n - 1:
+            continue
+        dd = all_pairs_distances(g)
+        for fn in (bound_bipartite_distance, bound_bipartite_dsl):
+            r = fn(g)
+            assert [w.vertices for w in r.witnesses] == [(v,) for v in range(g.n) if g.degree(v) == r.parameter]
+            for w in r.witnesses:
+                assert w.s_or_t == average_distance_degree(g, dd, w.vertices[0])
+        checked += 1
+
+
 # ---------------------------------------------------------------------------
 # clique bound
 
@@ -173,6 +192,22 @@ def test_clique_bound_random_soundness(rng):
         check_soundness(r, spread(g, KIND_DSL).spread)
         check_witness_quotient_consistency(r)
         count += 1
+
+
+def test_clique_witnesses_are_capped(monkeypatch):
+    # K_{3,4} has 12 maximum cliques, its edges; the cap keeps the first in
+    # sorted order and the bound is the best of those kept
+    g = complete_bipartite(3, 4)
+    everything = maximum_cliques(g).members
+    assert len(everything) == 12
+    monkeypatch.setattr(spreadlab.structures, "WITNESS_CAP", 5)
+    r = bound_clique(g)
+    assert r.witnesses_truncated
+    assert [w.vertices for w in r.witnesses] == list(everything[:5])
+    assert r.bound == max(w.bound_value for w in r.witnesses)
+    monkeypatch.setattr(spreadlab.structures, "WITNESS_CAP", 12)
+    r = bound_clique(g)
+    assert not r.witnesses_truncated and [w.vertices for w in r.witnesses] == list(everything)
 
 
 # ---------------------------------------------------------------------------

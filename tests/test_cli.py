@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spreadlab import Graph, builtin, search, spread
+from spreadlab import Graph, builtin, search, spread, verify_tables
 from spreadlab.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SCHEMA_VERSION, main
 
 
@@ -157,6 +157,55 @@ def test_empty_graph_exits_domain_naming_it(capsys):
         code, out, err = run(capsys, *argv, "--g6", "?")
         assert code == EXIT_DOMAIN and out == "", argv
         assert "the empty graph (0 vertices)" in err and "Traceback" not in err, argv
+
+
+# the published reference table: every cell's name, value and tolerance, in
+# reporting order, whether it reproduces or not
+PUBLISHED_CELLS = [
+    ("G1:S_D_bound", 15.596, 5e-4),
+    ("G1:S_D", 17.682, 5e-4),
+    ("G2:S_D_bound", 19.0059, 5e-4),
+    ("G2:S_D", 20.9674, 5e-4),
+    ("G1:S_Q_bound", 15.64, 5e-4),
+    ("G1:S_Q", 18.61, 5e-4),
+    ("G2:S_Q_bound", 17.852, 5e-4),
+    ("G2:S_Q", 21.187, 5e-4),
+    ("K22:q", 8.0, 1e-8),
+    ("K22:q_min", 2.0, 1e-8),
+    ("K22:S_Q", 6.0, 1e-8),
+    ("P4:q", 10.6056, 5e-4),
+    ("P4:q_min", 2.0, 5e-4),
+    ("P4:S_Q", 8.6056, 5e-4),
+    ("S4:q", 9.4641, 5e-4),
+    ("S4:q_min", 2.5359, 5e-4),
+    ("S4:S_Q", 6.9282, 5e-4),
+    ("K23:q", 11.3723, 5e-4),
+    ("K23:q_min", 3.0, 5e-4),
+    ("K23:S_Q", 8.3723, 5e-4),
+    ("H1:q", 13.3441, 5e-4),
+    ("H1:q_min", 3.3113, 5e-4),
+    ("H1:S_Q", 10.0328, 5e-4),
+    ("H2:q", 15.3119, 5e-4),
+    ("H2:q_min", 3.6075, 5e-4),
+    ("H2:S_Q", 11.7044, 5e-4),
+    ("P5:q", 17.1152, 5e-4),
+    ("P5:q_min", 3.4385, 5e-4),
+    ("P5:S_Q", 13.6767, 5e-4),
+    ("S5:q", 13.4244, 5e-4),
+    ("S5:q_min", 3.5756, 5e-4),
+    ("S5:S_Q", 9.8488, 5e-4),
+    ("Ki53:S_Q_clique_bound", 10.6158, 5e-4),
+    ("Ki53:S_Q", 11.3395, 5e-4),
+    ("G1:S_Q_diameter_bound", 12.1198, 5e-4),
+    ("G3:S_Q_cactus_bound", 11.5, 0.05),
+    ("G3:S_Q", 12.8, 0.05),
+    ("G4:S_Q_cactus_bound", 13.4, 0.05),
+    ("G4:S_Q", 16.3, 0.05),
+]
+
+
+def test_verify_tables_holds_the_published_table():
+    assert [(r.name, r.expected, r.tol) for r in verify_tables()] == PUBLISHED_CELLS
 
 
 def test_verify_tables_reports_failures_exit_3(capsys):
