@@ -250,13 +250,14 @@ def bound_clique(g: Graph) -> BoundReport:
     """DSL-spread lower bound indexed by the maximum cliques."""
     dd, x, true_report = _analyse(g, KIND_DSL)
     n = g.n
+    if n >= 2 and g.edge_count() == n * (n - 1) // 2:
+        # K_n, told before any clique is listed: omega = n, and
+        # Q(K_n) = J + (n-2)I has eigenvalues 2n-2 and n-2, spread n
+        return _report(METHOD_CLIQUE, "clique_number", n, true_report, closed_value=float(n))
     cliques = maximum_cliques(g)
     omega = cliques.parameter
     if omega < 2:
         raise SpreadlabError(f"clique bound needs omega >= 2, got omega={omega}")
-    if omega == n:
-        # Q(K_n) = J + (n-2)I: eigenvalues 2n-2 and n-2, spread n
-        return _report(METHOD_CLIQUE, "clique_number", omega, true_report, closed_value=float(n))
     W = dd.wiener
     witnesses = _set_witnesses(x, dd, 1, (-1, 1), cliques, ("{", ",", "}"), lambda s: (
         n * omega * (1 - omega) + 4 * omega * (s - W) - n * s,

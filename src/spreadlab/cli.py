@@ -312,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjecture", help="exhaustive minimum-spread check over bipartite classes")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1, help="parallel workers (default: 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="threads that run the search's chunks, at most one per core (default: 1)")
     p.add_argument("--checkpoint", metavar="PATH",
                    help="JSON-lines checkpoint file for resumable runs")
     _add_output_flags(p)

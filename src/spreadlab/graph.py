@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -109,20 +109,6 @@ class DistanceData:
 # graph6
 
 
-@lru_cache(maxsize=8)
-def _g6_index(n: int) -> np.ndarray:
-    """Flat indices into an n x n array of the pairs in graph6 bit order.
-
-    graph6 runs over the upper triangle column by column, (0,1), (0,2),
-    (1,2), (0,3), ..., which is the lower triangle row by row. At n = 2000
-    the table takes 16 MB, so only a few sizes are kept. Every caller shares
-    the cached array, so it is read-only.
-    """
-    index = np.flatnonzero(np.tri(n, k=-1, dtype=bool))
-    index.setflags(write=False)
-    return index
-
-
 def _g6_read_n(data: bytes, pos: int) -> tuple[int, int]:
     if pos >= len(data):
         raise ParseError(f"truncated graph6 string at byte {pos}")
@@ -174,24 +160,36 @@ def parse_graph6(text: str) -> Graph:
     if (body > 63).any():
         i = pos + int(np.argmax(body > 63))
         raise ParseError(f"out-of-range graph6 byte {data[i]} at offset {i}")
-    bits = np.unpackbits(body[:, None], axis=1)[:, 2:]
-    flat = _g6_index(n)[bits.ravel()[:nbits].astype(bool)]
-    return Graph(n, np.column_stack(np.divmod(flat, n)))
+    bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()[:nbits].astype(bool)
+    # graph6 runs over the upper triangle column by column, (0,1), (0,2),
+    # (1,2), (0,3), ..., which is the lower triangle row by row
+    low = np.zeros((n, n), dtype=bool)
+    low[np.tri(n, k=-1, dtype=bool)] = bits
+    return Graph(n, np.array(np.nonzero(low)).T)
 
 
 def write_graph6(g: Graph) -> str:
     """Encode a graph in graph6 format (bit-exact standard encoding)."""
-    n = g.n
-    if n <= 62:
-        prefix = chr(n + 63)
-    else:
-        prefix = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    return _graph6_stack(g.adj[None])[0]
+
+
+def _graph6_stack(adj: np.ndarray) -> list[str]:
+    """graph6 of each adjacency matrix in a (k, n, n) bool stack."""
+    count, n = len(adj), adj.shape[-1]
+    # the size field, '~' then 18 bits above 62, before every byte gets 63
+    size = [n] if n <= 62 else [63] + [n >> s & 63 for s in (12, 6, 0)]
     nbits = n * (n - 1) // 2
-    bits = np.zeros(nbits + -nbits % 6, dtype=bool)
-    bits[:nbits] = g.adj.take(_g6_index(n))
+    nbytes = (nbits + 5) // 6
+    # the lower triangle row by row is graph6's bit order (see parse_graph6)
+    bits = np.zeros((count, 6 * nbytes), dtype=bool)
+    bits[:, :nbits] = adj[:, np.tri(n, k=-1, dtype=bool)]
     # packbits fills each row of six bits to a byte from the top
-    body = (np.packbits(bits.reshape(-1, 6), axis=1).ravel() >> 2) + 63
-    return prefix + body.tobytes().decode("ascii")
+    text = np.empty((count, len(size) + nbytes), dtype=np.uint8)
+    text[:, :len(size)] = size
+    text[:, len(size):] = np.packbits(bits.reshape(count, nbytes, 6), axis=2)[..., 0] >> 2
+    text += 63
+    flat, width = text.tobytes().decode("ascii"), text.shape[1]
+    return [flat[i:i + width] for i in range(0, len(flat), width)]
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +400,16 @@ def is_connected(g: Graph) -> bool:
 
 
 def all_pairs_distances(g: Graph) -> DistanceData:
-    """All-pairs hop counts by Seidel's squaring (R. Seidel, JCSS 51, 1995).
+    """All-pairs hop counts by Seidel's squaring (R. Seidel, JCSS 51, 1995);
+    see _distances."""
+    dist = _distances(g.adj)
+    dist.setflags(write=False)
+    return DistanceData(dist=dist)
+
+
+def _distances(adj: np.ndarray) -> np.ndarray:
+    """Hop counts of each graph in a (..., n, n) bool stack of adjacency
+    matrices, as an int64 array of the same shape, by Seidel's squaring.
 
     A_0 is the adjacency matrix with a loop at every vertex, so the square
     of A_i is nonzero exactly on the pairs at distance at most 2 in A_i;
@@ -411,21 +418,25 @@ def all_pairs_distances(g: Graph) -> DistanceData:
     distances 2 - A_i off the diagonal, and each lower level is unwound from
     the one above: with T the distances in A_{i+1} and deg_i the column sums
     of A_i, the distances in A_i are 2T - [T.A_i < T*deg_i] (the loops add T
-    to both sides of the comparison). The chain is kept as bool arrays and
-    multiplied in float32, exact below MAX_VERTICES. A squaring that joins
-    no new pair has closed every component into a clique, so the graph is
+    to both sides of the comparison). A stack is squared until every member
+    is complete; a complete graph is its own square, and the unwinding holds
+    for it too, so members of smaller diameter need no masking. The chain is
+    kept as bool arrays and multiplied in float32, exact below MAX_VERTICES.
+    A squaring that joins no new pair anywhere in the stack has closed every
+    component into a clique, so a member that is not complete is
     disconnected.
     """
-    n = g.n
-    a = g.adj | np.eye(n, dtype=bool)
+    n = adj.shape[-1]
+    eye = np.eye(n, dtype=bool)
+    a = adj | eye
     levels = [a]
     pairs = int(np.count_nonzero(a))
     # two float32 buffers serve every product: f holds a level as 0/1 and p
     # the product. Fresh float32 matrices per level left freed blocks behind
     # and raised peak RSS by ~20 MB at n = 2000.
-    f = np.empty((n, n), dtype=np.float32)
-    p = np.empty((n, n), dtype=np.float32)
-    while pairs < n * n:
+    f = np.empty(a.shape, dtype=np.float32)
+    p = np.empty(a.shape, dtype=np.float32)
+    while pairs < a.size:
         np.copyto(f, a)
         # f @ f, not f @ f.T: numpy hands the latter to syrk, which halves
         # the work at n = 2000 but is slower than gemm below n ~ 100 and,
@@ -434,22 +445,21 @@ def all_pairs_distances(g: Graph) -> DistanceData:
         a = p > 0
         joined = int(np.count_nonzero(a))
         if joined == pairs:
-            raise NotConnectedError(0, int(np.argmin(a[0])))
+            member = a.reshape(-1, n, n)[np.argmin(a.reshape(-1, n * n).all(axis=1))]
+            raise NotConnectedError(0, int(np.argmin(member[0])))
         levels.append(a)
         pairs = joined
     if len(levels) > 1:
         levels.pop()
     t = 2 - levels.pop().astype(np.float32)
-    np.fill_diagonal(t, 0)
+    t -= eye
     while levels:
         np.copyto(f, levels.pop())
         np.matmul(t, f, out=p)
-        np.multiply(t, f.sum(axis=0), out=f)  # f now holds T*deg
+        np.multiply(t, f.sum(axis=-2, keepdims=True), out=f)  # f now holds T*deg
         t *= 2
         t -= p < f
-    dist = t.astype(np.int64)
-    dist.setflags(write=False)
-    return DistanceData(dist=dist)
+    return t.astype(np.int64)
 
 
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]]:

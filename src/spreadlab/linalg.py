@@ -4,8 +4,10 @@ Every spread is the difference of the extreme eigenvalues of an integer
 symmetric matrix, D(G) or Q(G), which spectral.distance_matrix builds as a
 read-only int64 array. Its spectrum comes from LAPACK's symmetric solver
 (?syevd, through numpy.linalg.eigvalsh) on that array as it is: the entries
-are integers below 2^53, so numpy's float64 copy is the matrix exactly. The
-test suite checks the solver against an independent cyclic Jacobi iteration.
+are integers below 2^53, so numpy's float64 copy is the matrix exactly. A
+stack of such matrices, as the conjecture search solves, goes through the
+same call. The test suite checks the solver against an independent cyclic
+Jacobi iteration.
 """
 
 from __future__ import annotations
@@ -62,8 +64,13 @@ def eigenvalues_symmetric(x: np.ndarray) -> Spectrum:
 
     Raises NumericError when LAPACK does not converge.
     """
+    return Spectrum.from_values(_eigvalsh(x))
+
+
+def _eigvalsh(x: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric array, or of each matrix in a
+    (..., n, n) stack; raises NumericError when LAPACK does not converge."""
     try:
-        values = np.linalg.eigvalsh(x)
+        return np.linalg.eigvalsh(x)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"symmetric eigensolver failed: {exc}") from None
-    return Spectrum.from_values(values)

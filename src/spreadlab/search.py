@@ -1,24 +1,28 @@
 """Exhaustive small-n verification of the extremal DSL-spread conjecture.
 
 Connected bipartite graphs are enumerated one isomorphism class each: for a
-part split a + b = n the biadjacency rows are generated as non-decreasing
-bitmask tuples (a cheap exact reduction of labelled duplicates). The tuples
-are read in numpy blocks; one vectorised pass per block drops the
-disconnected ones and brings the rest to a sorted form by sorting the
-biadjacency columns once and then the rows once. Both sorts permute rows or
-columns, so candidates with equal forms are in one class. A second
-vectorised pass gives each of a chunk's distinct forms its exact class key:
-the least, over the a! row orders, of the matrix with its columns sorted and
-packed into one integer, and for a = b also of its transpose. A connected
-bipartite graph has one bipartition, so equal keys mean one class; the a!
-orders keep this to small a (a <= 5 for n <= CONJECTURE_MAX_N). This key is
-the package's only isomorphism code. Work is chunked by (a, range of _CHUNK
-row tuples), and a chunk returns only its class keys, so chunks can run on a
-pool of workers that hold no state. The calling process names each class by
-the graph6 of the graph read off its key and eigensolves it once, on that
-graph, whichever chunk or worker met it: 730 solves for 49,333 candidates at
-n = 9. Each finished chunk is appended to an optional checkpoint file at
-once, naming only the classes no earlier record of the run holds.
+part split a + b = n the biadjacency rows are the non-decreasing tuples of
+nonzero b-bit masks, in lex order (a cheap exact reduction of labelled
+duplicates). Each numpy block of tuples is reached by unranking its first
+rank, so no chunk steps through the tuples before it. One vectorised pass
+per block drops the disconnected tuples and brings the rest to a sorted
+form by sorting the biadjacency columns once and then the rows once. Both
+sorts permute rows or columns, so candidates with equal forms are in one
+class. A second vectorised pass gives each of a chunk's distinct forms its
+exact class key: the least, over the a! row orders, of the matrix with its
+columns sorted and packed into one integer, and for a = b also of its
+transpose. A connected bipartite graph has one bipartition, so equal keys
+mean one class; the a! orders keep this to small a (a <= 5 for
+n <= CONJECTURE_MAX_N). This key is the package's only isomorphism code.
+Work is chunked by (a, range of _CHUNK row tuples), and a chunk returns
+only its class keys, so chunks can run on a pool of threads that share no
+state; the kernels are numpy calls, which release the GIL. The calling
+thread reads the graphs of a chunk's new keys off the keys as one stack,
+names them with one graph6 call, and solves those whose name is new as one
+stack: one batched Seidel squaring for D(G) and one batched eigensolve of
+Q(G), 730 classes for 49,333 candidates at n = 9. Each finished chunk is
+appended to an optional checkpoint file at once, naming only the classes
+no earlier record of the run holds.
 """
 
 from __future__ import annotations
@@ -29,13 +33,14 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, islice, permutations
+from itertools import permutations
 
 import numpy as np
 
 from .errors import SpreadlabError
-from .graph import Graph, write_graph6
-from .spectral import KIND_DSL, kab_q_spectrum, spread
+from .graph import Graph, _distances, _graph6_stack, complete_bipartite, write_graph6
+from .linalg import _eigvalsh
+from .spectral import kab_q_spectrum
 
 CONJECTURE_MAX_N = 10
 EQUALITY_TOL = 1e-6
@@ -48,15 +53,34 @@ _LABELLING = "sorted-columns"
 # enumeration of connected bipartite graphs
 
 
-def _row_tuples(a: int, b: int):
-    """Non-decreasing tuples of a nonzero b-bit row masks."""
-    return combinations_with_replacement(range(1, 1 << b), a)
-
-
 def _spread_table(width: int, stride: int) -> np.ndarray:
     """Entry m: the width-bit mask m with each bit j moved to bit j * stride."""
     return np.array([sum(((m >> j) & 1) << j * stride for j in range(width)) for m in range(1 << width)],
                     dtype=np.int64)
+
+
+def _row_block(a: int, b: int, start: int, end: int) -> np.ndarray:
+    """Row tuples start..end of the lex-ordered non-decreasing tuples of a
+    nonzero b-bit row masks, as an (end - start, a) int64 array.
+
+    x_1 <= ... <= x_a maps to the a-subset {x_i + i - 2} of 0..N-1, with
+    N = 2^b + a - 2, in the same order. The lex rank r of a subset is the
+    colex rank C(N, a) - 1 - r of its reflection v -> N - 1 - v, and the
+    combinatorial number system unranks colex: the largest member c of an
+    i-subset of rank m is the largest c with C(c, i) <= m, and the rest is
+    the (i - 1)-subset of rank m - C(c, i). One searchsorted per position
+    unranks the whole block.
+    """
+    top = (1 << b) + a - 2
+    comb = np.array([[math.comb(c, i) for c in range(top)] for i in range(a + 1)], dtype=np.int64)
+    rank = math.comb(top, a) - 1 - np.arange(start, end, dtype=np.int64)
+    rows = np.empty((end - start, a), dtype=np.int64)
+    for p in range(a):
+        c = np.searchsorted(comb[a - p], rank, side="right") - 1
+        rank -= comb[a - p, c]
+        # the member at place p is z = top - 1 - c, and x = z - p + 1
+        rows[:, p] = top - p - c
+    return rows
 
 
 # row tuples per numpy pass; bounds the kernel's temporaries
@@ -67,7 +91,7 @@ _CHUNK = 20000
 
 def _chunk_forms(a: int, b: int, start: int, end: int) -> tuple[int, list[int]]:
     """(connected candidates, distinct sorted forms in order of first
-    candidate) among row tuples start..end of _row_tuples(a, b).
+    candidate) among row tuples start..end of _row_block(a, b, ...).
 
     A form is a candidate's biadjacency matrix after sorting its columns (as
     bitmasks over the rows) once and then its rows once, packed as one
@@ -81,12 +105,9 @@ def _chunk_forms(a: int, b: int, start: int, end: int) -> tuple[int, list[int]]:
     to_cols, to_rows = _spread_table(b, a), _spread_table(a, b)
     col_mask, row_mask = (1 << a) - 1, (1 << b) - 1
     row_index, col_index = np.arange(a, dtype=np.int64), np.arange(b, dtype=np.int64)
-    tuples = islice(_row_tuples(a, b), start, end)
-    candidates, forms, seen = 0, [], set()
-    while True:
-        rows = np.fromiter(chain.from_iterable(islice(tuples, _BLOCK)), dtype=np.int64).reshape(-1, a)
-        if not len(rows):
-            return candidates, forms
+    blocks = []
+    for s in range(start, end, _BLOCK):
+        rows = _row_block(a, b, s, min(s + _BLOCK, end))
         # connected iff the right vertices reachable from left vertex 0 are
         # all of them, since every row is nonzero; a - 1 rounds reach every
         # left vertex of its component
@@ -97,13 +118,10 @@ def _chunk_forms(a: int, b: int, start: int, end: int) -> tuple[int, list[int]]:
         cols = np.bitwise_or.reduce(to_cols[rows] << row_index, axis=1)[:, None] >> col_index * a & col_mask
         t = np.bitwise_or.reduce(to_rows[np.sort(cols, axis=1)] << col_index, axis=1)
         rows = np.sort(t[:, None] >> row_index * b & row_mask, axis=1)
-        packed = np.bitwise_or.reduce(rows << row_index * b, axis=1)
-        candidates += len(packed)
-        _, first = np.unique(packed, return_index=True)
-        for form in packed[np.sort(first)].tolist():
-            if form not in seen:
-                seen.add(form)
-                forms.append(form)
+        blocks.append(np.bitwise_or.reduce(rows << row_index * b, axis=1))
+    packed = np.concatenate(blocks)
+    _, first = np.unique(packed, return_index=True)
+    return len(packed), packed[np.sort(first)].tolist()
 
 
 def _class_keys(a: int, b: int, forms: list[int]) -> list[int]:
@@ -143,21 +161,26 @@ def _class_keys(a: int, b: int, forms: list[int]) -> list[int]:
     return keys
 
 
-def _key_graph(a: int, b: int, key: int) -> Graph:
-    """The graph whose biadjacency columns are packed in key as in
-    _class_keys: left vertex i is i, right vertex j is a + j."""
-    return Graph(a + b, [(i, a + j) for j in range(b) for i in range(a) if key >> (j * a + i) & 1])
+def _key_adjacency(a: int, b: int, keys: list[int]) -> np.ndarray:
+    """The (len(keys), a + b, a + b) bool stack of adjacency matrices of the
+    graphs whose biadjacency columns are packed in keys as in _class_keys:
+    left vertex i is i, right vertex j is a + j."""
+    bits = np.array(keys, dtype=np.int64).reshape(-1, 1, 1) >> np.arange(a * b).reshape(b, a) & 1
+    adj = np.zeros((len(keys), a + b, a + b), dtype=bool)
+    adj[:, a:, :a] = bits
+    adj[:, :a, a:] = bits.transpose(0, 2, 1)
+    return adj
 
 
 def enumerate_connected_bipartite(n: int):
     """Yield one representative per isomorphism class of connected bipartite
     graphs on n vertices, in a deterministic order: the graph read off each
-    class key (see _key_graph), in order of its first candidate."""
+    class key (see _key_adjacency), in order of its first candidate."""
     if not (2 <= n <= CONJECTURE_MAX_N):
         raise ValueError(f"enumeration supports 2 <= n <= {CONJECTURE_MAX_N}, got {n}")
     for a in range(1, n // 2 + 1):
-        for key in _run_chunk((n, a, 0, _count_row_tuples(a, n - a)))[3]:
-            yield _key_graph(a, n - a, key)
+        for adj in _key_adjacency(a, n - a, _run_chunk((n, a, 0, _count_row_tuples(a, n - a)))[3]):
+            yield Graph(n, np.argwhere(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +226,7 @@ def _run_chunk(args) -> tuple[int, int, int, list[int], int]:
 
     Returns (a, start, end, class keys, candidates examined), the keys in
     order of their first candidate. It is a pure function of its chunk, so
-    a pool worker holds no state; check_conjecture names and solves each
+    a pool thread holds no state; check_conjecture names and solves each
     class.
     """
     n, a, start, end = args
@@ -260,15 +283,23 @@ def _read_checkpoint(path: str, n: int, wanted: set) -> dict:
     return done
 
 
+def _dsl_spreads(adj: np.ndarray) -> np.ndarray:
+    """S_Q of each connected graph in a (k, n, n) bool stack of adjacency
+    matrices: Q = D + diag(row sums of D), solved as one stack."""
+    d = _distances(adj)
+    w = _eigvalsh(d + d.sum(axis=2)[:, :, None] * np.eye(adj.shape[-1], dtype=np.int64))
+    return w[:, -1] - w[:, 0]
+
+
 def _completed(chunks: list, threads: int):
     """Yield each chunk's _run_chunk result as soon as it is ready, from a
-    pool of at most one worker per core."""
+    pool of at most one thread per core."""
     workers = min(threads, len(chunks), os.cpu_count() or 1)
     if workers > 1:
-        # imported only here, so multiprocessing loads only with a pool
-        from concurrent.futures import ProcessPoolExecutor, as_completed
+        # imported only here, so concurrent.futures loads only with a pool
+        from concurrent.futures import ThreadPoolExecutor, as_completed
 
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ThreadPoolExecutor(max_workers=workers)
         try:
             for future in as_completed([pool.submit(_run_chunk, c) for c in chunks]):
                 yield future.result()
@@ -287,6 +318,7 @@ def check_conjecture(
     """Evaluate S_Q over every connected bipartite isomorphism class on n
     vertices and compare against S_Q(K_{floor(n/2), ceil(n/2)}).
 
+    threads is the number of threads that run chunks, at most one per core.
     With a checkpoint file, each chunk's record is appended and synced as
     soon as the chunk completes, and the chunks it already holds are not
     run again. A record names only the classes that no earlier record of
@@ -318,14 +350,13 @@ def check_conjecture(
     with open(checkpoint, "a") if checkpoint is not None else nullcontext() as ckpt_fh:
         for a, start, end, keys, candidates in _completed(pending, threads):
             candidates_total += candidates
-            new = {}
-            for key in keys:
-                if (a, key) not in seen:
-                    seen.add((a, key))
-                    g = _key_graph(a, n - a, key)
-                    g6 = write_graph6(g)
-                    if g6 not in classes:
-                        new[g6] = classes[g6] = spread(g, KIND_DSL).spread
+            keys = [key for key in keys if (a, key) not in seen]
+            seen.update((a, key) for key in keys)
+            adj = _key_adjacency(a, n - a, keys)
+            names = _graph6_stack(adj)
+            fresh = [i for i, g6 in enumerate(names) if g6 not in classes]
+            new = dict(zip([names[i] for i in fresh], _dsl_spreads(adj[fresh]).tolist()))
+            classes.update(new)
             if ckpt_fh:
                 ckpt_fh.write(json.dumps({
                     "n": n, "labelling": _LABELLING, "a": a, "start": start, "end": end,
@@ -334,10 +365,9 @@ def check_conjecture(
                 ckpt_fh.flush()
                 os.fsync(ckpt_fh.fileno())
 
-    a0 = n // 2
-    # K_{a0,n-a0} named in the search's own labelling, the all-ones
-    # biadjacency key; it is one of the classes, so its S_Q is already known
-    reference_g6 = write_graph6(_key_graph(a0, n - a0, (1 << a0 * (n - a0)) - 1))
+    # K_{floor(n/2),ceil(n/2)}, left part first as read off its all-ones
+    # key, is one of the classes, so its S_Q is already known
+    reference_g6 = write_graph6(complete_bipartite(n // 2, n - n // 2))
     reference = classes[reference_g6]
 
     counterexamples = []

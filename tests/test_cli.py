@@ -90,6 +90,14 @@ def test_bound_plain_shows_witnesses(capsys):
     assert "witness v1" in out and "a=" in out and "gap:" in out
 
 
+def test_bound_clique_on_a_large_complete_graph(capsys):
+    # K_n takes its closed form before any clique is listed; listing the
+    # cliques of K_1000 recursed past Python's limit
+    code, out, err = run(capsys, "bound", "--method", "clique", "--family", "complete:1000")
+    assert code == EXIT_OK and "Traceback" not in err
+    assert "clique_number=1000" in out and "closed-form case" in out and "bound: 1000.0000" in out
+
+
 def test_bound_json_payload(capsys):
     code, out, _ = run(capsys, "bound", "--builtin", "G3", "--method", "cactus", "--json")
     assert code == EXIT_OK

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spreadlab.graph import MAX_VERTICES
+from spreadlab.graph import MAX_VERTICES, _distances, _graph6_stack
 
 from spreadlab import (
     Graph,
@@ -159,6 +159,18 @@ def test_graph6_matches_networkx_codec():
     k = complete(MAX_VERTICES)
     h = nx.from_graph6_bytes(write_graph6(k).encode())
     assert len(h) == MAX_VERTICES and h.number_of_edges() == k.edge_count() == MAX_VERTICES * (MAX_VERTICES - 1) // 2
+
+
+def test_graph6_stack_matches_write_graph6_and_networkx():
+    # n = 63 and up take the '~' size prefix
+    rnd = random.Random(70)
+    for n in range(71):
+        graphs = [nx.gnp_random_graph(n, p, seed=rnd.randrange(2 ** 32)) for p in (0.0, 0.2, 0.5, 1.0)]
+        adj = np.array([nx.to_numpy_array(h, dtype=bool) for h in graphs]).reshape(len(graphs), n, n)
+        want = [nx.to_graph6_bytes(h, header=False).decode("ascii").strip() for h in graphs]
+        assert _graph6_stack(adj) == want, n
+        assert [write_graph6(Graph(n, np.argwhere(m))) for m in adj] == want, n
+    assert _graph6_stack(np.zeros((0, 5, 5), dtype=bool)) == []
 
 
 def test_graph6_errors_name_byte_offsets():
@@ -364,6 +376,33 @@ def test_disconnected_raises_with_witness():
     with pytest.raises(NotConnectedError) as exc:
         all_pairs_distances(Graph(2, []))
     assert (exc.value.u, exc.value.v) == (0, 1)
+
+
+def test_stacked_distances_match_each_graph(rng):
+    # members of one order and mixed diameter: complete, path, cycle and
+    # random graphs, so members turn complete after different squarings
+    for n in (1, 2, 3, 5, 9, 17, 33):
+        graphs = [complete(n), path(n)] + ([cycle(n)] if n >= 3 else [])
+        graphs += [random_connected_graph(rng, n, p) for p in (0.0, 0.1, 0.5) for _ in range(3)]
+        rng.shuffle(graphs)
+        stacked = _distances(np.array([g.adj for g in graphs]))
+        assert stacked.dtype == np.int64
+        for g, dist in zip(graphs, stacked):
+            assert np.array_equal(dist, all_pairs_distances(g).dist), g
+    assert _distances(np.zeros((0, 4, 4), dtype=bool)).shape == (0, 4, 4)
+
+
+def test_stacked_distances_raise_for_a_disconnected_member():
+    # the error names the first member that is not connected, as that
+    # member alone would
+    p9, loose = path(9), Graph(9, [(i, i + 1) for i in range(7)])
+    split = Graph(9, [(0, 2), (2, 4), (1, 3)] + [(i, i + 1) for i in range(4, 8)])
+    for stack, member in (([p9, loose, complete(9)], loose), ([complete(9), split, loose, p9], split)):
+        with pytest.raises(NotConnectedError) as exc:
+            _distances(np.array([g.adj for g in stack]))
+        with pytest.raises(NotConnectedError) as alone:
+            all_pairs_distances(member)
+        assert (exc.value.u, exc.value.v) == (alone.value.u, alone.value.v)
 
 
 def test_bipartition_parts_and_odd_walk(rng):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import networkx as nx
 import numpy as np
@@ -151,10 +152,16 @@ def graph_from_rows(a: int, b: int, rows) -> Graph:
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b) if (rows[i] >> j) & 1])
 
 
+def row_tuples(a: int, b: int):
+    """Non-decreasing tuples of a nonzero b-bit row masks, in lex order: the
+    candidates search._row_block unranks."""
+    return itertools.combinations_with_replacement(range(1, 1 << b), a)
+
+
 def connected_row_tuples(n: int):
     for a in range(1, n // 2 + 1):
         b = n - a
-        for rows in search._row_tuples(a, b):
+        for rows in row_tuples(a, b):
             if rows_connected(a, b, rows):
                 yield a, b, rows
 
@@ -162,13 +169,29 @@ def connected_row_tuples(n: int):
 def reference_chunk_forms(a: int, b: int, start: int, end: int):
     """search._chunk_forms one candidate at a time."""
     candidates, forms = 0, []
-    for rows in itertools.islice(search._row_tuples(a, b), start, end):
+    for rows in itertools.islice(row_tuples(a, b), start, end):
         if rows_connected(a, b, rows):
             candidates += 1
             form = packed(b, sorted_form(a, b, rows))
             if form not in forms:
                 forms.append(form)
     return candidates, forms
+
+
+def test_row_block_unranks_every_tuple():
+    # in full, and in windows across the chunk and block edges that chunks
+    # and their numpy blocks start and end at
+    for n in range(2, 10):
+        for a in range(1, n // 2 + 1):
+            b = n - a
+            want = [list(rows) for rows in row_tuples(a, b)]
+            assert len(want) == search._count_row_tuples(a, b)
+            assert search._row_block(a, b, 0, len(want)).tolist() == want, (a, b)
+            for size in (7, 97, search._BLOCK, search._CHUNK):
+                for edge in range(size, len(want), size):
+                    lo, hi = edge - 3, min(edge + 3, len(want))
+                    assert search._row_block(a, b, lo, hi).tolist() == want[lo:hi], (a, b, lo, hi)
+            assert search._row_block(a, b, len(want) - 1, len(want)).tolist() == want[-1:]
 
 
 def test_sorted_form_permutes_rows_and_columns():
@@ -269,7 +292,7 @@ def reference_run_chunk(args):
     n, a, start, end = args
     b = n - a
     keys, candidates = [], 0
-    for rows in itertools.islice(search._row_tuples(a, b), start, end):
+    for rows in itertools.islice(row_tuples(a, b), start, end):
         if rows_connected(a, b, rows):
             candidates += 1
             key = reference_class_key(a, b, rows)
@@ -304,35 +327,47 @@ def test_conjecture_checkpoints_name_and_solve_each_class_on_its_key_graph(tmp_p
 
 
 @pytest.mark.parametrize("size", [search._CHUNK, 97])
-def test_conjecture_labels_each_form_and_solves_each_class_once(size, monkeypatch, tmp_path):
+def test_conjecture_labels_each_form_and_solves_each_class_once(size, monkeypatch):
     # at chunk size 97, forms and classes recur across chunks. Chunks run on
-    # two workers, which append the forms they key to a file; every class is
-    # solved in this process
-    log, solved, caller = tmp_path / "keyed", [], os.getpid()
-    class_keys, solve = search._class_keys, search.spread
+    # two threads, which list the forms they key (one list.extend call each,
+    # atomic under the GIL); every class is solved in the calling thread, in
+    # stacks
+    keyed, solved, caller = [], [], threading.get_ident()
+    class_keys, eigvalsh = search._class_keys, search._eigvalsh
 
     def counted_class_keys(a, b, forms):
-        with open(log, "a") as fh:
-            fh.write("".join(f"{a} {form}\n" for form in forms))
+        keyed.extend([(a, form) for form in forms])
         return class_keys(a, b, forms)
 
-    def caller_spread(g, kind):
-        if os.getpid() != caller:
-            raise RuntimeError("a pool worker solved a class")
-        solved.append(g.n)
-        return solve(g, kind)
+    def caller_eigvalsh(x):
+        if threading.get_ident() != caller:
+            raise RuntimeError("a pool thread solved a class")
+        solved.append(len(x))
+        return eigvalsh(x)
 
     monkeypatch.setattr(search, "_class_keys", counted_class_keys)
-    monkeypatch.setattr(search, "spread", caller_spread)
+    monkeypatch.setattr(search, "_eigvalsh", caller_eigvalsh)
     monkeypatch.setattr(search, "_CHUNK", size)
     report = check_conjecture(8, threads=2)
     # each chunk keys its distinct forms once
-    keyed = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
     assert len(keyed) == sum(len(search._chunk_forms(a, 8 - a, start, end)[1])
                              for _, a, start, end in chunks(8, size))
     assert set(keyed) == {(a, f) for a, _, forms in all_forms(8) for f in forms}
-    # the K_{4,4} reference is read off its own class, not solved again
-    assert len(solved) == report.graphs_checked == 182
+    # one stack per chunk, and the K_{4,4} reference is read off its own
+    # class, not solved again
+    assert len(solved) == report.chunks
+    assert sum(solved) == report.graphs_checked == 182
+
+
+def test_stacked_spreads_equal_spread_bit_for_bit():
+    # every class with n <= 8, solved as one stack per part size, against
+    # spread() on the graph read off its key
+    for n in range(2, 9):
+        for a in range(1, n // 2 + 1):
+            keys = search._run_chunk((n, a, 0, search._count_row_tuples(a, n - a)))[3]
+            stacked = search._dsl_spreads(search._key_adjacency(a, n - a, keys)).tolist()
+            want = [spread(key_graph(a, n - a, key), KIND_DSL).spread for key in keys]
+            assert [x.hex() for x in stacked] == [x.hex() for x in want], (n, a)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +501,7 @@ def old_run_chunk(args):
     n, a, start, end = args
     b = n - a
     classes, seen, candidates = {}, set(), 0
-    for rows in itertools.islice(search._row_tuples(a, b), start, end):
+    for rows in itertools.islice(row_tuples(a, b), start, end):
         if rows_connected(a, b, rows):
             candidates += 1
             key = reference_class_key(a, b, rows)
@@ -569,9 +604,9 @@ def test_conjecture_parallel_matches_serial(tmp_path, monkeypatch):
     assert serial.verdict == parallel.verdict
 
 
-class InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs each
-    submitted call at once, in this process."""
+class InThreadPool:
+    """Stands in for ThreadPoolExecutor: records max_workers and runs each
+    submitted call at once, in the calling thread."""
 
     requested: list[int] = []
 
@@ -590,25 +625,43 @@ class InProcessPool:
 def test_pool_capped_at_core_count(monkeypatch):
     monkeypatch.setattr(search, "_CHUNK", 3)
     serial = check_conjecture(6, threads=1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(InProcessPool, "requested", [])
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InThreadPool)
+    monkeypatch.setattr(InThreadPool, "requested", [])
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     pooled = check_conjecture(6, threads=10_000)
-    assert InProcessPool.requested == [3] and pooled.chunks > 3
+    assert InThreadPool.requested == [3] and pooled.chunks > 3
     assert report_fields(pooled) == report_fields(serial)
     # one core, or a count os cannot tell: no pool at all
     for cores in (1, None):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         assert report_fields(check_conjecture(6, threads=10_000)) == report_fields(serial)
-    assert InProcessPool.requested == [3]
+    assert InThreadPool.requested == [3]
+
+
+def test_threads_beyond_the_core_count_match_serial(tmp_path, monkeypatch):
+    # eight threads over tiny chunks, switching as often as the interpreter
+    # allows: chunks share no state, so a lost or doubled class would show
+    # in the report or as a class named twice in the checkpoint
+    monkeypatch.setattr(search, "_CHUNK", 5)
+    serial = check_conjecture(7, threads=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = check_conjecture(7, threads=8, checkpoint=str(tmp_path / "chk.jsonl"))
+    finally:
+        sys.setswitchinterval(interval)
+    assert report_fields(pooled) == report_fields(serial)
+    named = [g6 for r in checkpoint_records(tmp_path / "chk.jsonl") for g6 in r["classes"]]
+    assert len(named) == len(set(named)) == serial.graphs_checked == 44
 
 
 def test_import_leaves_multiprocessing_unloaded():
-    code = "import sys, spreadlab; print('multiprocessing' in sys.modules)"
+    code = "import sys, spreadlab; print([m in sys.modules for m in ('multiprocessing', 'concurrent.futures')])"
     src = os.path.dirname(os.path.dirname(spreadlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"
 
 
 def test_conjecture_refuses_empty_checkpoint_path():
