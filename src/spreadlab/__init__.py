@@ -50,7 +50,6 @@ from .quotient import QuotientMatrix
 from .search import (
     ConjectureReport,
     check_conjecture,
-    check_monotonicity,
     enumerate_connected_bipartite,
 )
 from .spectral import (

@@ -251,8 +251,8 @@ def bound_clique(g: Graph) -> BoundReport:
     dd, x, true_report = _analyse(g, KIND_DSL)
     n = g.n
     if n >= 2 and g.edge_count() == n * (n - 1) // 2:
-        # K_n, told before any clique is listed: omega = n, and
-        # Q(K_n) = J + (n-2)I has eigenvalues 2n-2 and n-2, spread n
+        # K_n: omega = n leaves V\S empty, which the quotient cannot take,
+        # and Q(K_n) = J + (n-2)I has eigenvalues 2n-2 and n-2, spread n
         return _report(METHOD_CLIQUE, "clique_number", n, true_report, closed_value=float(n))
     cliques = maximum_cliques(g)
     omega = cliques.parameter

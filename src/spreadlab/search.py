@@ -40,7 +40,6 @@ import numpy as np
 from .errors import SpreadlabError
 from .graph import Graph, _distances, _graph6_stack, complete_bipartite, write_graph6
 from .linalg import _eigvalsh
-from .spectral import kab_q_spectrum
 
 CONJECTURE_MAX_N = 10
 EQUALITY_TOL = 1e-6
@@ -181,21 +180,6 @@ def enumerate_connected_bipartite(n: int):
     for a in range(1, n // 2 + 1):
         for adj in _key_adjacency(a, n - a, _run_chunk((n, a, 0, _count_row_tuples(a, n - a)))[3]):
             yield Graph(n, np.argwhere(adj))
-
-
-# ---------------------------------------------------------------------------
-# monotonicity of the complete-bipartite spreads
-
-
-def check_monotonicity(n: int) -> list[float]:
-    """[S_Q(K_{1,n-1}), ..., S_Q(K_{floor,ceil})], strictly decreasing."""
-    if n < 4:
-        raise ValueError(f"monotonicity chain needs n >= 4, got {n}")
-    values = [kab_q_spectrum(a, n - a).spread for a in range(1, n // 2 + 1)]
-    for x, y in zip(values, values[1:]):
-        if not x > y:
-            raise SpreadlabError(f"spread chain is not strictly decreasing at n={n}: {values}")
-    return values
 
 
 # ---------------------------------------------------------------------------

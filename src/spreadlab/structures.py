@@ -39,33 +39,43 @@ class WitnessSet:
 # cliques
 
 
-def _bron_kerbosch(adj, r: list[int], p: set[int], x: set[int], out: list[tuple[int, ...]]):
-    if not p and not x:
-        out.append(tuple(sorted(r)))
-        return
-    pivot = max(p | x, key=lambda v: len(adj[v] & p))
-    for v in sorted(p - adj[pivot]):
-        _bron_kerbosch(adj, r + [v], p & adj[v], x & adj[v], out)
-        p.remove(v)
-        x.add(v)
+def _cliques(g: Graph, floor: list[int]) -> Iterator[list[int]]:
+    """The cliques of at least floor[0] vertices, in ascending lexicographic
+    order, each yielded as one shared vertex list (a branch and bound on the
+    candidate count; Carraghan and Pardalos, Oper. Res. Lett. 9, 1990).
 
-
-def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
-    """All maximal cliques, via Bron-Kerbosch with pivoting."""
-    if g.n == 0:
-        return []
-    adj = [set(a) for a in g.adjacency]
-    out: list[tuple[int, ...]] = []
-    _bron_kerbosch(adj, [], set(range(g.n)), set(), out)
-    return sorted(out)
+    Depth i of the stack holds, as an int bitset, the vertices that can still
+    follow clique[:i]: its common neighbours above the vertex last tried
+    there. A branch whose clique and candidates together fall short of
+    floor[0] is skipped; the caller may raise floor[0] between steps.
+    """
+    higher = [int.from_bytes(row.tobytes(), "little")
+              for row in np.packbits(np.triu(g.adj, 1), axis=1, bitorder="little")]
+    clique: list[int] = []
+    stack = [(1 << g.n) - 1]
+    while stack:
+        candidates = stack[-1]
+        if candidates and len(clique) + candidates.bit_count() >= floor[0]:
+            v = (candidates & -candidates).bit_length() - 1
+            stack[-1] = candidates ^ (1 << v)
+            clique.append(v)
+            stack.append(stack[-1] & higher[v])
+            if len(clique) >= floor[0]:
+                yield clique
+        else:
+            stack.pop()
+            if clique:
+                clique.pop()
 
 
 def maximum_cliques(g: Graph) -> WitnessSet:
     """The cliques of maximum order, each as a sorted vertex tuple, in
     ascending order; truncated at the first WITNESS_CAP."""
-    cliques = maximal_cliques(g)
-    omega = max((len(c) for c in cliques), default=0)
-    members = [c for c in cliques if len(c) == omega]
+    floor = [1]
+    for clique in _cliques(g, floor):
+        floor[0] = len(clique) + 1
+    omega = floor[0] - 1
+    members = [tuple(c) for c in islice(_cliques(g, [omega]), WITNESS_CAP + 1)]
     return WitnessSet(parameter=omega, members=tuple(members[:WITNESS_CAP]), truncated=len(members) > WITNESS_CAP)
 
 

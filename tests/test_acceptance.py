@@ -18,7 +18,6 @@ from spreadlab import (
     bound_diameter,
     builtin,
     check_conjecture,
-    check_monotonicity,
     complete,
     complete_bipartite,
     cycle,
@@ -231,7 +230,7 @@ def test_criterion_10_conjecture_and_monotonicity():
         ok = ok and rep.verdict == "holds"
         ok = ok and names_balanced_complete_bipartite(rep.minimizer_graph6)
     for n in range(4, 41):
-        values = check_monotonicity(n)
+        values = [kab_q_spectrum(a, n - a).spread for a in range(1, n // 2 + 1)]
         ok = ok and all(x > y for x, y in zip(values, values[1:]))
     report("criterion 10: conjecture holds for n = 4..8; spread chain decreasing to n = 40", ok)
 

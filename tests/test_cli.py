@@ -91,11 +91,20 @@ def test_bound_plain_shows_witnesses(capsys):
 
 
 def test_bound_clique_on_a_large_complete_graph(capsys):
-    # K_n takes its closed form before any clique is listed; listing the
-    # cliques of K_1000 recursed past Python's limit
+    # K_n takes its closed form: omega = n leaves V\S empty
     code, out, err = run(capsys, "bound", "--method", "clique", "--family", "complete:1000")
     assert code == EXIT_OK and "Traceback" not in err
     assert "clique_number=1000" in out and "closed-form case" in out and "bound: 1000.0000" in out
+
+
+@pytest.mark.parametrize("family, omega", [("kite:1200,1100", 1100), ("kite:2000,1999", 1999)])
+def test_bound_clique_with_a_large_clique_number(capsys, family, omega):
+    # the clique search holds one stack entry per clique vertex and does not
+    # recurse, so omega near the vertex limit ends in a report
+    code, out, err = run(capsys, "bound", "--method", "clique", "--family", family, "--format", "json")
+    assert code == EXIT_OK and "Traceback" not in err
+    payload = json.loads(out)
+    assert payload["parameter"] == omega and len(payload["witnesses"]) == 1
 
 
 def test_bound_json_payload(capsys):

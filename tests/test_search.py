@@ -11,7 +11,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from spreadlab import Graph, check_conjecture, check_monotonicity, enumerate_connected_bipartite, write_graph6
+from spreadlab import Graph, check_conjecture, enumerate_connected_bipartite, kab_q_spectrum, write_graph6
 import spreadlab
 from spreadlab import search
 from spreadlab.cli import main
@@ -376,11 +376,8 @@ def test_stacked_spreads_equal_spread_bit_for_bit():
 
 def test_monotonicity_chain():
     for n in range(4, 41):
-        values = check_monotonicity(n)
-        assert len(values) == n // 2
+        values = [kab_q_spectrum(a, n - a).spread for a in range(1, n // 2 + 1)]
         assert all(x > y for x, y in zip(values, values[1:]))
-    with pytest.raises(ValueError):
-        check_monotonicity(3)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from spreadlab import (
     path,
     star,
 )
-from spreadlab.structures import _geodesics, biconnected_components, maximal_cliques
+from spreadlab.structures import _geodesics, biconnected_components
 
 from .conftest import (
     cycle_internal_sum,
@@ -85,6 +85,19 @@ def test_maximum_cliques_against_brute_force(rng):
         omega, want = brute_force_max_cliques(g)
         assert ws.parameter == omega
         assert sorted(ws.members) == want
+    # networkx lists every maximal clique; the largest are the oracle, on
+    # graphs that need not be connected, from one vertex up
+    for n in [1, *range(2, 26, 3), 25]:
+        for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+            edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < density]
+            ws = maximum_cliques(Graph(n, edges))
+            nxg = nx.empty_graph(n)
+            nxg.add_edges_from(edges)
+            cliques = [tuple(sorted(c)) for c in nx.find_cliques(nxg)]
+            omega = max(map(len, cliques))
+            assert ws.parameter == omega
+            assert ws.members == tuple(sorted(c for c in cliques if len(c) == omega))
+            assert not ws.truncated
 
 
 def test_maximal_cliques_triangle_free():
@@ -95,7 +108,7 @@ def test_maximal_cliques_triangle_free():
 
 
 def test_maximal_cliques_complete():
-    assert maximal_cliques(complete(5)) == [(0, 1, 2, 3, 4)]
+    assert maximum_cliques(complete(5)).members == ((0, 1, 2, 3, 4),)
 
 
 def test_clique_members_are_cliques(rng):
