@@ -28,7 +28,6 @@ from .graph import (
     DistanceData,
     Graph,
     all_pairs_distances,
-    average_distance_degree,
     bipartition,
     builtin,
     builtin_names,
@@ -36,8 +35,6 @@ from .graph import (
     complete_bipartite,
     cycle,
     generate,
-    is_bipartite,
-    is_connected,
     kite,
     parse_edge_list,
     parse_graph6,
@@ -64,7 +61,6 @@ from .structures import (
     WitnessSet,
     cactus_longest_cycles,
     diameter_paths,
-    is_cactus,
     maximum_cliques,
 )
 from .tables import CellResult, verify_tables

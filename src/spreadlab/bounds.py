@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateBoundError, SpreadlabError
-from .graph import Graph, all_pairs_distances, average_distance_degree, bipartition
+from .graph import Graph, all_pairs_distances, bipartition
 from .quotient import QuotientMatrix
 from .spectral import KIND_DISTANCE, KIND_DSL, distance_matrix, kab_distance_spectrum, kab_q_spectrum, matrix_spread
 from .structures import WITNESS_CAP, cactus_longest_cycles, diameter_paths, maximum_cliques
@@ -202,8 +202,12 @@ def _set_witnesses(x: np.ndarray, dd, c: int, signs: tuple[int, int], witness_se
 
 
 def _bipartite_bound(g: Graph, kind: str) -> BoundReport:
-    bipartition(g)
-    dd, x, true_report = _analyse(g, kind)
+    # the 2-colouring is read off the distances, so a graph that is not
+    # bipartite is refused before the eigensolve
+    dd = all_pairs_distances(g)
+    bipartition(g, dd)
+    x = distance_matrix(dd, kind)
+    true_report = matrix_spread(x, kind)
     n = g.n
     delta = g.max_degree()
     method = METHOD_BIPARTITE_DISTANCE if kind == KIND_DISTANCE else METHOD_BIPARTITE_DSL
@@ -334,15 +338,15 @@ def legacy_2012_counterexample(g: Graph, v: int) -> LegacyComparison:
     n = g.n
     if not 0 <= v < n:
         raise SpreadlabError(f"vertex index {v} is out of range for a graph on {n} vertices (0 <= v < n)")
-    bipartition(g)
+    dd = all_pairs_distances(g)
+    bipartition(g, dd)
     delta = g.max_degree()
     if g.degree(v) != delta:
         raise SpreadlabError(f"vertex {v + 1} has degree {g.degree(v)}, not the maximum degree {delta}")
     if delta > n - 2:
         raise SpreadlabError(f"legacy formula needs max degree <= n-2, got {delta} with n={n}")
-    dd = all_pairs_distances(g)
     S = sum(dd.trans)
-    t_delta = int(average_distance_degree(g, dd, v) * delta)  # t_v * Delta
+    t_delta = int(g.adj[v] @ dd.dist.sum(axis=1))  # t_v * Delta
     b1 = (
         (Fraction(2 * delta * delta, delta + 1),
          Fraction(t_delta + delta - 2 * delta * delta, delta + 1)),

@@ -2,19 +2,19 @@
 
 Vertices are labelled 0..n-1 internally; user-facing text uses 1-indexed
 labels. Distances, transmissions and the Wiener index are kept in exact
-integer arithmetic; the average distance degree is an exact Fraction.
+integer arithmetic; the 2-colouring of a bipartite graph is read off the
+distances from vertex 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotBipartiteError, NotConnectedError, ParseError, SpreadlabError
+from .errors import NotBipartiteError, NotConnectedError, ParseError
 
 GRAPH6_HEADER = ">>graph6<<"
 # Largest vertex count a graph6 string, an edge list or a family descriptor
@@ -362,43 +362,6 @@ def builtin_names() -> list[str]:
 # metric quantities
 
 
-def _levels(g: Graph) -> list[int]:
-    """Hop counts from vertex 0 of a graph with at least one vertex, by
-    breadth-first search with one frontier list per level; raises
-    NotConnectedError naming vertex 0 and the first vertex it cannot reach."""
-    adj = g.adjacency
-    level = [-1] * g.n
-    level[0] = 0
-    frontier = [0]
-    depth = 0
-    while frontier:
-        depth += 1
-        reached = []
-        for x in frontier:
-            for y in adj[x]:
-                if level[y] < 0:
-                    level[y] = depth
-                    reached.append(y)
-        frontier = reached
-    if -1 in level:
-        raise NotConnectedError(0, level.index(-1))
-    return level
-
-
-def check_connected(g: Graph) -> None:
-    """Raise NotConnectedError naming two unreachable vertices."""
-    if g.n:
-        _levels(g)
-
-
-def is_connected(g: Graph) -> bool:
-    try:
-        check_connected(g)
-    except NotConnectedError:
-        return False
-    return True
-
-
 def all_pairs_distances(g: Graph) -> DistanceData:
     """All-pairs hop counts by Seidel's squaring (R. Seidel, JCSS 51, 1995);
     see _distances."""
@@ -462,16 +425,17 @@ def _distances(adj: np.ndarray) -> np.ndarray:
     return t.astype(np.int64)
 
 
-def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]]:
+def bipartition(g: Graph, dd: DistanceData) -> tuple[frozenset[int], frozenset[int]]:
     """Proper 2-colouring of a connected graph, vertex 0 in the first part:
-    each vertex is coloured by the parity of its distance from vertex 0.
+    each vertex is coloured by the parity of its distance from vertex 0. dd
+    is the graph's all_pairs_distances.
 
     Raises NotBipartiteError carrying a closed odd walk when an odd cycle
     exists.
     """
     if not g.n:
         return frozenset(), frozenset()
-    level = np.array(_levels(g))
+    level = dd.dist[0]
     # an edge joins equal or adjacent levels; one within a level closes an
     # odd cycle. Take the first such edge at the least level and walk each of
     # its ends down the levels to vertex 0: x -> 0 -> y plus the edge y-x is
@@ -488,19 +452,3 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]]:
             down.append(walk)
         raise NotBipartiteError(down[0] + down[1][-2::-1] + [x])
     return frozenset(np.flatnonzero(level % 2 == 0).tolist()), frozenset(np.flatnonzero(level % 2).tolist())
-
-
-def is_bipartite(g: Graph) -> bool:
-    try:
-        bipartition(g)
-    except NotBipartiteError:
-        return False
-    return True
-
-
-def average_distance_degree(g: Graph, dd: DistanceData, v: int) -> Fraction:
-    """Mean transmission over the neighbours of v, as an exact rational."""
-    deg = g.degree(v)
-    if deg == 0:
-        raise SpreadlabError(f"vertex {v + 1} has no neighbours")
-    return Fraction(sum(dd.trans[u] for u in g.adjacency[v]), deg)

@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import AcyclicError, NotCactusError
-from .graph import DistanceData, Graph, is_connected
+from .graph import DistanceData, Graph
 
 # Most members a clique or diameter-path witness set keeps.
 WITNESS_CAP = 10000
@@ -157,18 +157,6 @@ def biconnected_components(g: Graph) -> list[list[tuple[int, int]]]:
                         blocks.append(edges[at:])
                         del edges[at:]
     return blocks
-
-
-def is_cactus(g: Graph) -> bool:
-    """True for a connected graph whose blocks are edges or cycles, with at
-    least one cycle."""
-    if not is_connected(g):
-        return False
-    try:
-        cactus_longest_cycles(g)
-    except (NotCactusError, AcyclicError):
-        return False
-    return True
 
 
 def cactus_longest_cycles(g: Graph) -> WitnessSet:

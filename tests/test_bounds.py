@@ -16,7 +16,6 @@ from spreadlab import (
     NotCactusError,
     SpreadlabError,
     all_pairs_distances,
-    average_distance_degree,
     bound_bipartite_distance,
     bound_bipartite_dsl,
     bound_cactus,
@@ -28,7 +27,6 @@ from spreadlab import (
     complete_bipartite,
     cycle,
     enumerate_connected_bipartite,
-    is_cactus,
     kite,
     legacy_2012_counterexample,
     maximum_cliques,
@@ -134,13 +132,14 @@ def test_bipartite_dsl_star3_closed_form_is_exact():
 
 
 def test_bipartite_quotient_entries_are_exact():
-    r = bound_bipartite_distance(builtin("G1"))
-    w = {w.label: w for w in r.witnesses}["v1"]
-    assert w.quotient.entries == (
+    witnesses = {w.label: w for w in bound_bipartite_distance(builtin("G1")).witnesses}
+    assert witnesses["v1"].quotient.entries == (
         (Fraction(9, 2), Fraction(25, 4)),
         (Fraction(25, 3), Fraction(16, 3)),
     )
-    assert w.s_or_t == Fraction(34, 3)
+    # s_or_t is the average distance degree t_v, the mean transmission of
+    # v's neighbours
+    assert (witnesses["v1"].s_or_t, witnesses["v2"].s_or_t) == (Fraction(34, 3), Fraction(35, 3))
 
 
 def test_bipartite_witnesses_carry_the_average_distance_degree(rng):
@@ -157,7 +156,8 @@ def test_bipartite_witnesses_carry_the_average_distance_degree(rng):
             r = fn(g)
             assert [w.vertices for w in r.witnesses] == [(v,) for v in range(g.n) if g.degree(v) == r.parameter]
             for w in r.witnesses:
-                assert w.s_or_t == average_distance_degree(g, dd, w.vertices[0])
+                v = w.vertices[0]
+                assert w.s_or_t == Fraction(sum(dd.trans[u] for u in g.adjacency[v]), g.degree(v))
         checked += 1
 
 
@@ -480,9 +480,28 @@ def test_each_bound_runs_one_distance_analysis(monkeypatch):
     calls.clear()
     assert not legacy_2012_counterexample(builtin("G1"), 0).equal
     assert len(calls) == 1
+    # the bipartite check reads its 2-colouring off that one analysis too,
+    # so a graph that is not bipartite is refused after it, with the closed
+    # odd walk down the distances from vertex 0
+    refusals = [
+        (cycle(5), (2, 1, 0, 4, 3, 2)),
+        (builtin("G4"), (2, 1, 0, 4, 3, 2)),
+        (complete(4), (1, 0, 2, 1)),
+        (kite(5, 3), (1, 0, 2, 1)),
+        (builtin("G3"), (4, 2, 1, 0, 1, 2, 5, 4)),
+        (cycle(9), (4, 3, 2, 1, 0, 8, 7, 6, 5, 4)),
+    ]
+    for g, walk in refusals:
+        top = next(v for v in range(g.n) if g.degree(v) == g.max_degree())
+        for fn in (bound_bipartite_distance, bound_bipartite_dsl, lambda h: legacy_2012_counterexample(h, top)):
+            calls.clear()
+            with pytest.raises(NotBipartiteError) as exc:
+                fn(g)
+            assert exc.value.odd_walk == walk, (g, fn)
+            assert len(calls) == 1, (g, fn)
     # witness enumeration alone needs no distances
     calls.clear()
-    for fn, g in ((is_cactus, builtin("G4")), (maximum_cliques, kite(5, 3)), (cactus_longest_cycles, builtin("G4"))):
+    for fn, g in ((maximum_cliques, kite(5, 3)), (cactus_longest_cycles, builtin("G4"))):
         assert fn(g)
         assert calls == [], fn.__name__
 

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -15,7 +14,6 @@ from spreadlab import (
     NotConnectedError,
     ParseError,
     all_pairs_distances,
-    average_distance_degree,
     bipartition,
     builtin,
     builtin_names,
@@ -23,8 +21,6 @@ from spreadlab import (
     complete_bipartite,
     cycle,
     generate,
-    is_bipartite,
-    is_connected,
     kite,
     parse_edge_list,
     parse_graph6,
@@ -347,7 +343,7 @@ def test_distances_match_floyd_warshall(rng):
 
 def test_disconnected_raises_with_witness():
     g = Graph(4, [(0, 1), (2, 3)])
-    assert not is_connected(g)
+    assert not nx.is_connected(nx.from_numpy_array(g.adj))
     with pytest.raises(NotConnectedError) as exc:
         all_pairs_distances(g)
     assert (exc.value.u, exc.value.v) == (0, 2)
@@ -408,24 +404,18 @@ def test_stacked_distances_raise_for_a_disconnected_member():
 def test_bipartition_parts_and_odd_walk(rng):
     for _ in range(40):
         g = random_connected_graph(rng, rng.randint(2, 9))
+        bipartite = nx.is_bipartite(nx.from_numpy_array(g.adj))
         try:
-            a, b = bipartition(g)
+            a, b = bipartition(g, all_pairs_distances(g))
         except NotBipartiteError as exc:
             walk = exc.odd_walk
             assert walk[0] == walk[-1]
             assert len(walk) % 2 == 0  # odd number of steps
             for u, v in zip(walk, walk[1:]):
                 assert v in g.adjacency[u]
-            assert not is_bipartite(g)
+            assert not bipartite
         else:
             assert a | b == set(range(g.n)) and not (a & b)
             for u, v in edges_of(g):
                 assert (u in a) != (v in a)
-            assert is_bipartite(g)
-
-
-def test_average_distance_degree_exact():
-    g = builtin("G1")
-    dd = all_pairs_distances(g)
-    assert average_distance_degree(g, dd, 0) == Fraction(34, 3)
-    assert average_distance_degree(g, dd, 1) == Fraction(35, 3)
+            assert bipartite

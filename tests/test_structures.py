@@ -3,7 +3,6 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-import spreadlab
 from spreadlab import (
     AcyclicError,
     Graph,
@@ -21,7 +20,6 @@ from spreadlab import (
     complete_bipartite,
     cycle,
     diameter_paths,
-    is_cactus,
     kite,
     legacy_2012_counterexample,
     maximum_cliques,
@@ -226,12 +224,13 @@ def test_cactus_longest_cycles_match_networkx_cycle_basis(rng):
 
 
 def test_cactus_detection():
-    assert is_cactus(builtin("G3"))
-    assert is_cactus(builtin("G4"))
-    assert is_cactus(cycle(5))
-    assert not is_cactus(complete(4))
-    assert not is_cactus(complete_bipartite(2, 3))
-    assert not is_cactus(path(5))  # tree: no circumference
+    for g in (builtin("G3"), builtin("G4"), cycle(5)):
+        assert cactus_longest_cycles(g).members
+    for g in (complete(4), complete_bipartite(2, 3)):
+        with pytest.raises(NotCactusError):
+            cactus_longest_cycles(g)
+    with pytest.raises(AcyclicError):
+        cactus_longest_cycles(path(5))  # tree: no circumference
 
 
 def test_cactus_cycles_known():
@@ -342,25 +341,5 @@ def test_bounds_refuse_disconnected_graphs_with_first_unreachable_pair():
         with pytest.raises(NotConnectedError) as exc:
             fn(g)
         assert (exc.value.u, exc.value.v) == (0, 3), fn.__name__
-    # a cactus is connected; the witness sets themselves need no connectivity
-    assert not is_cactus(g)
+    # the witness sets themselves need no connectivity
     assert len(maximum_cliques(g)) == len(cactus_longest_cycles(g)) == 2
-
-
-def test_clique_and_cactus_bounds_sweep_connectivity_once(monkeypatch):
-    # the all-pairs sweep already proves connectivity; no separate check runs
-    calls = []
-    real = spreadlab.graph.check_connected
-
-    def counting(g):
-        calls.append(g)
-        return real(g)
-
-    for module in (spreadlab.graph, spreadlab.spectral, spreadlab.structures, spreadlab.bounds):
-        if hasattr(module, "check_connected"):
-            monkeypatch.setattr(module, "check_connected", counting)
-    assert bound_clique(kite(5, 3)).witnesses
-    assert bound_cactus(builtin("G4")).witnesses
-    assert maximum_cliques(kite(5, 3)).members
-    assert cactus_longest_cycles(builtin("G4")).members
-    assert calls == []
