@@ -25,7 +25,6 @@ from .errors import (
     SpreadlabError,
 )
 from .graph import (
-    DistanceData,
     Graph,
     all_pairs_distances,
     bipartition,

@@ -84,11 +84,11 @@ def _report(method, pname, param, true_report, witnesses=(), closed_value=None, 
 
 
 def _analyse(g: Graph, kind: str):
-    """The one analysis behind a bound: distances, D(G) or Q(G) as a
-    read-only int64 array, and its spread."""
-    dd = all_pairs_distances(g)
-    x = distance_matrix(dd, kind)
-    return dd, x, matrix_spread(x, kind)
+    """The one analysis behind a bound: the distance array, D(G) or Q(G) as
+    a read-only int64 array, and its spread."""
+    dist = all_pairs_distances(g)
+    x = distance_matrix(dist, kind)
+    return dist, x, matrix_spread(x, kind)
 
 
 def _constant(a: np.ndarray) -> np.ndarray:
@@ -182,15 +182,19 @@ def _witnesses(x: np.ndarray, c: int, signs: tuple[int, int], items) -> list[Wit
     return out
 
 
-def _set_witnesses(x: np.ndarray, dd, c: int, signs: tuple[int, int], witness_set, label, coefficients):
+def _set_witnesses(x: np.ndarray, dist: np.ndarray, c: int, signs: tuple[int, int], witness_set, label, coefficients):
     """One witness per member of witness_set, for a bound whose (a, b) =
-    coefficients(s) depend only on s, the sum of the member's transmissions.
-    The sums take one gather, and Fraction(s) and (a, b) are formed once per
-    distinct s. label is (open, separator, close) around the vertex names."""
+    coefficients(s, W) depend only on s, the sum of the member's
+    transmissions, and the Wiener index W, half the sum of them all (exact
+    in int64, being below n^3). The sums take one gather, and Fraction(s)
+    and (a, b) are formed once per distinct s. label is (open, separator,
+    close) around the vertex names."""
     names = [f"v{v + 1}" for v in range(len(x))]
     members = witness_set.members
-    sums = dd.dist.sum(axis=1)[np.array(members)].sum(axis=1).tolist()
-    per_s = {s: (Fraction(s), *coefficients(s)) for s in set(sums)}
+    trans = dist.sum(axis=1)
+    W = int(trans.sum()) // 2
+    sums = trans[np.array(members)].sum(axis=1).tolist()
+    per_s = {s: (Fraction(s), *coefficients(s, W)) for s in set(sums)}
     start, sep, end = label
     items = [(start + sep.join(map(names.__getitem__, member)) + end, member, member, *per_s[s])
              for member, s in zip(members, sums)]
@@ -204,9 +208,9 @@ def _set_witnesses(x: np.ndarray, dd, c: int, signs: tuple[int, int], witness_se
 def _bipartite_bound(g: Graph, kind: str) -> BoundReport:
     # the 2-colouring is read off the distances, so a graph that is not
     # bipartite is refused before the eigensolve
-    dd = all_pairs_distances(g)
-    bipartition(g, dd)
-    x = distance_matrix(dd, kind)
+    dist = all_pairs_distances(g)
+    bipartition(g, dist)
+    x = distance_matrix(dist, kind)
     true_report = matrix_spread(x, kind)
     n = g.n
     delta = g.max_degree()
@@ -217,7 +221,7 @@ def _bipartite_bound(g: Graph, kind: str) -> BoundReport:
         value = 0.0 if n == 1 else star(1, n - 1).spread
         return _report(method, "max_degree", delta, true_report, closed_value=value)
 
-    trans = dd.dist.sum(axis=1)
+    trans = dist.sum(axis=1)
     S = int(trans.sum())
     W = S // 2
     tops = np.flatnonzero(g.adj.sum(axis=1) == delta)
@@ -252,7 +256,7 @@ def bound_bipartite_dsl(g: Graph) -> BoundReport:
 
 def bound_clique(g: Graph) -> BoundReport:
     """DSL-spread lower bound indexed by the maximum cliques."""
-    dd, x, true_report = _analyse(g, KIND_DSL)
+    dist, x, true_report = _analyse(g, KIND_DSL)
     n = g.n
     if n >= 2 and g.edge_count() == n * (n - 1) // 2:
         # K_n: omega = n leaves V\S empty, which the quotient cannot take,
@@ -262,8 +266,7 @@ def bound_clique(g: Graph) -> BoundReport:
     omega = cliques.parameter
     if omega < 2:
         raise SpreadlabError(f"clique bound needs omega >= 2, got omega={omega}")
-    W = dd.wiener
-    witnesses = _set_witnesses(x, dd, 1, (-1, 1), cliques, ("{", ",", "}"), lambda s: (
+    witnesses = _set_witnesses(x, dist, 1, (-1, 1), cliques, ("{", ",", "}"), lambda s, W: (
         n * omega * (1 - omega) + 4 * omega * (s - W) - n * s,
         4 * W * omega * (omega - 1) + 4 * s * (W - s)))
     return _report(METHOD_CLIQUE, "clique_number", omega, true_report, witnesses, truncated=cliques.truncated)
@@ -274,19 +277,21 @@ def bound_clique(g: Graph) -> BoundReport:
 
 
 def bound_diameter(g: Graph, cap: int = WITNESS_CAP) -> BoundReport:
-    """DSL-spread lower bound indexed by the diameter paths."""
-    dd, x, true_report = _analyse(g, KIND_DSL)
+    """DSL-spread lower bound indexed by the diameter paths, of which at most
+    cap are kept."""
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    dist, x, true_report = _analyse(g, KIND_DSL)
     n = g.n
-    d = dd.diameter
+    d = int(dist.max())
     if d == 1:
         # Q(K_n) = J + (n-2)I: eigenvalues 2n-2 and n-2, spread n
         return _report(METHOD_DIAMETER, "diameter", d, true_report, closed_value=float(n))
     if d == n - 1:
         raise DegenerateBoundError(
             f"diameter {d} = n-1: the partition around a diameter path has an empty second block")
-    paths = diameter_paths(g, dd, cap=cap)
-    W = dd.wiener
-    witnesses = _set_witnesses(x, dd, 3, (-1, 1), paths, ("", "-", ""), lambda s: (
+    paths = diameter_paths(g, dist, cap=cap)
+    witnesses = _set_witnesses(x, dist, 3, (-1, 1), paths, ("", "-", ""), lambda s, W: (
         12 * (1 + d) * (s - W) - n * d * (d + 1) * (d + 2) - 3 * n * s,
         4 * d * (d + 1) * (d + 2) * W + 12 * s * (W - s)))
     return _report(METHOD_DIAMETER, "diameter", d, true_report, witnesses, truncated=paths.truncated)
@@ -298,16 +303,15 @@ def bound_diameter(g: Graph, cap: int = WITNESS_CAP) -> BoundReport:
 
 def bound_cactus(g: Graph) -> BoundReport:
     """DSL-spread lower bound for cacti, indexed by the longest cycles."""
-    dd, x, true_report = _analyse(g, KIND_DSL)
+    dist, x, true_report = _analyse(g, KIND_DSL)
     n = g.n
     cycles = cactus_longest_cycles(g)
     l = cycles.parameter
     if l == n:
         raise DegenerateBoundError(
             f"circumference {l} = n: the partition around the cycle has an empty second block")
-    W = dd.wiener
     odd = l % 2  # the odd-l forms add -l*n to a and -4l*W to b
-    witnesses = _set_witnesses(x, dd, 4, (1, 1), cycles, ("(", ",", ")"), lambda s: (
+    witnesses = _set_witnesses(x, dist, 4, (1, 1), cycles, ("(", ",", ")"), lambda s, W: (
         l ** 3 * n + 4 * n * s - odd * l * n - 16 * l * (s - W),
         4 * (l ** 3 - odd * l) * W - 16 * s * (s - W)))
     return _report(METHOD_CACTUS, "circumference", l, true_report, witnesses)
@@ -338,15 +342,16 @@ def legacy_2012_counterexample(g: Graph, v: int) -> LegacyComparison:
     n = g.n
     if not 0 <= v < n:
         raise SpreadlabError(f"vertex index {v} is out of range for a graph on {n} vertices (0 <= v < n)")
-    dd = all_pairs_distances(g)
-    bipartition(g, dd)
+    dist = all_pairs_distances(g)
+    bipartition(g, dist)
     delta = g.max_degree()
     if g.degree(v) != delta:
         raise SpreadlabError(f"vertex {v + 1} has degree {g.degree(v)}, not the maximum degree {delta}")
     if delta > n - 2:
         raise SpreadlabError(f"legacy formula needs max degree <= n-2, got {delta} with n={n}")
-    S = sum(dd.trans)
-    t_delta = int(g.adj[v] @ dd.dist.sum(axis=1))  # t_v * Delta
+    trans = dist.sum(axis=1)
+    S = int(trans.sum())
+    t_delta = int(g.adj[v] @ trans)  # t_v * Delta
     b1 = (
         (Fraction(2 * delta * delta, delta + 1),
          Fraction(t_delta + delta - 2 * delta * delta, delta + 1)),
@@ -354,6 +359,7 @@ def legacy_2012_counterexample(g: Graph, v: int) -> LegacyComparison:
          Fraction(S - 2 * t_delta + 2 * delta * (delta - 1), n - delta - 1)),
     )
     closed = sorted({v, *g.adjacency[v]})
-    [sums] = _block_sums(distance_matrix(dd, KIND_DISTANCE), [closed])
+    # D(G) is the distance array itself
+    [sums] = _block_sums(dist, [closed])
     b2 = _quotient(len(closed), n, *sums)
     return LegacyComparison(b1=b1, b2=b2, equal=(b1 == b2.entries))

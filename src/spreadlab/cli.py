@@ -145,6 +145,9 @@ def _legacy_plain(g, cmp, v: int) -> str:
 
 
 def _cmd_bound(args) -> int:
+    if args.vertex is not None and args.method != "legacy-2012":
+        print(f"--vertex applies only to --method legacy-2012, not {args.method}", file=sys.stderr)
+        return EXIT_USAGE
     g, desc = _load_graph(args)
     if args.method == "legacy-2012":
         if args.vertex is not None:

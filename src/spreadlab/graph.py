@@ -1,14 +1,14 @@
 """Graph representation, parsing, generation and metric quantities.
 
 Vertices are labelled 0..n-1 internally; user-facing text uses 1-indexed
-labels. Distances, transmissions and the Wiener index are kept in exact
-integer arithmetic; the 2-colouring of a bipartite graph is read off the
-distances from vertex 0.
+labels. The all-pairs distances are one read-only int64 n x n array, the
+only distance object: a transmission is its row sum, the Wiener index half
+its total and the diameter its largest entry. The 2-colouring of a
+bipartite graph is read off its row for vertex 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -78,31 +78,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count()})"
-
-
-@dataclass(frozen=True, eq=False)
-class DistanceData:
-    """All-pairs distances plus the derived metric quantities.
-
-    dist is the n x n matrix of hop counts as a read-only int64 array. The
-    Python-int quantities are computed on first use, as only the bounds read
-    them: trans[i] is the transmission (row sum) of vertex i, wiener the
-    Wiener index and diameter the largest entry.
-    """
-
-    dist: np.ndarray
-
-    @cached_property
-    def trans(self) -> tuple[int, ...]:
-        return tuple(self.dist.sum(axis=1).tolist())
-
-    @cached_property
-    def wiener(self) -> int:
-        return sum(self.trans) // 2
-
-    @cached_property
-    def diameter(self) -> int:
-        return int(self.dist.max()) if len(self.dist) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +337,12 @@ def builtin_names() -> list[str]:
 # metric quantities
 
 
-def all_pairs_distances(g: Graph) -> DistanceData:
-    """All-pairs hop counts by Seidel's squaring (R. Seidel, JCSS 51, 1995);
-    see _distances."""
+def all_pairs_distances(g: Graph) -> np.ndarray:
+    """All-pairs hop counts as a read-only int64 n x n array, by Seidel's
+    squaring (R. Seidel, JCSS 51, 1995); see _distances."""
     dist = _distances(g.adj)
     dist.setflags(write=False)
-    return DistanceData(dist=dist)
+    return dist
 
 
 def _distances(adj: np.ndarray) -> np.ndarray:
@@ -425,9 +400,9 @@ def _distances(adj: np.ndarray) -> np.ndarray:
     return t.astype(np.int64)
 
 
-def bipartition(g: Graph, dd: DistanceData) -> tuple[frozenset[int], frozenset[int]]:
+def bipartition(g: Graph, dist: np.ndarray) -> tuple[frozenset[int], frozenset[int]]:
     """Proper 2-colouring of a connected graph, vertex 0 in the first part:
-    each vertex is coloured by the parity of its distance from vertex 0. dd
+    each vertex is coloured by the parity of its distance from vertex 0. dist
     is the graph's all_pairs_distances.
 
     Raises NotBipartiteError carrying a closed odd walk when an odd cycle
@@ -435,7 +410,7 @@ def bipartition(g: Graph, dd: DistanceData) -> tuple[frozenset[int], frozenset[i
     """
     if not g.n:
         return frozenset(), frozenset()
-    level = dd.dist[0]
+    level = dist[0]
     # an edge joins equal or adjacent levels; one within a level closes an
     # odd cycle. Take the first such edge at the least level and walk each of
     # its ends down the levels to vertex 0: x -> 0 -> y plus the edge y-x is

@@ -20,9 +20,10 @@ state; the kernels are numpy calls, which release the GIL. The calling
 thread reads the graphs of a chunk's new keys off the keys as one stack,
 names them with one graph6 call, and solves those whose name is new as one
 stack: one batched Seidel squaring for D(G) and one batched eigensolve of
-Q(G), 730 classes for 49,333 candidates at n = 9. Each finished chunk is
-appended to an optional checkpoint file at once, naming only the classes
-no earlier record of the run holds.
+the Q(G) stack that spectral.distance_matrix builds from it, 730 classes
+for 49,333 candidates at n = 9. Each finished chunk is appended to an
+optional checkpoint file at once, naming only the classes no earlier
+record of the run holds.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import numpy as np
 from .errors import SpreadlabError
 from .graph import Graph, _distances, _graph6_stack, complete_bipartite, write_graph6
 from .linalg import _eigvalsh
+from .spectral import KIND_DSL, distance_matrix
 
 CONJECTURE_MAX_N = 10
 EQUALITY_TOL = 1e-6
@@ -267,14 +269,6 @@ def _read_checkpoint(path: str, n: int, wanted: set) -> dict:
     return done
 
 
-def _dsl_spreads(adj: np.ndarray) -> np.ndarray:
-    """S_Q of each connected graph in a (k, n, n) bool stack of adjacency
-    matrices: Q = D + diag(row sums of D), solved as one stack."""
-    d = _distances(adj)
-    w = _eigvalsh(d + d.sum(axis=2)[:, :, None] * np.eye(adj.shape[-1], dtype=np.int64))
-    return w[:, -1] - w[:, 0]
-
-
 def _completed(chunks: list, threads: int):
     """Yield each chunk's _run_chunk result as soon as it is ready, from a
     pool of at most one thread per core."""
@@ -339,7 +333,8 @@ def check_conjecture(
             adj = _key_adjacency(a, n - a, keys)
             names = _graph6_stack(adj)
             fresh = [i for i, g6 in enumerate(names) if g6 not in classes]
-            new = dict(zip([names[i] for i in fresh], _dsl_spreads(adj[fresh]).tolist()))
+            w = _eigvalsh(distance_matrix(_distances(adj[fresh]), KIND_DSL))
+            new = dict(zip([names[i] for i in fresh], (w[:, -1] - w[:, 0]).tolist()))
             classes.update(new)
             if ckpt_fh:
                 ckpt_fh.write(json.dumps({

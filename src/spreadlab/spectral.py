@@ -1,9 +1,11 @@
 """Distance and distance-signless-Laplacian matrices, spectra and spreads.
 
-Each spread builds D(G) or Q(G) once, as a read-only int64 array, and takes
-its spectrum from linalg.eigenvalues_symmetric on that array. Also houses
-the closed-form distance and DSL spectra of K_{a,b}; the bounds read their
-star cases off them.
+Each spread builds D(G) or Q(G) once, as a read-only int64 array, from the
+graph's all_pairs_distances array, and takes its spectrum from
+linalg.eigenvalues_symmetric on that array. distance_matrix is the only
+place that builds either matrix, for one graph or for a stack of graphs.
+Also houses the closed-form distance and DSL spectra of K_{a,b}; the bounds
+read their star cases off them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpreadlabError
-from .graph import DistanceData, Graph, all_pairs_distances
+from .graph import Graph, all_pairs_distances
 from .linalg import Spectrum, eigenvalues_symmetric
 
 KIND_DISTANCE = "distance"
@@ -32,22 +34,25 @@ class SpreadReport:
     spectrum: Spectrum
 
 
-def distance_matrix(dd: DistanceData, kind: str) -> np.ndarray:
-    """D(G) for kind 'distance', Q(G) = Tr(G) + D(G) for kind 'dsl', as a
-    read-only int64 array, from the graph's all_pairs_distances.
+def distance_matrix(dist: np.ndarray, kind: str) -> np.ndarray:
+    """D(G) for kind 'distance', Q(G) = Tr(G) + D(G) for kind 'dsl', as an
+    int64 array, from the graph's all_pairs_distances array dist; on a
+    (k, n, n) stack of such arrays, the stack of each member's matrix.
 
-    D(G) is dd.dist itself; Q(G) is one copy of it with the row sums on its
-    zero diagonal. The empty graph has neither matrix and is refused here, so
-    every spread and bound reports it the same way.
+    D(G) is dist itself; Q(G) is one read-only copy of it with the row sums
+    on its zero diagonal. The empty graph has neither matrix and is refused
+    here, so every spread and bound reports it the same way.
     """
     if kind not in (KIND_DISTANCE, KIND_DSL):
         raise ValueError(f"unknown matrix kind {kind!r}; expected 'distance' or 'dsl'")
-    if not len(dd.dist):
+    if not dist.shape[-1]:
         raise SpreadlabError("the empty graph (0 vertices) has no distance matrix")
     if kind == KIND_DISTANCE:
-        return dd.dist
-    x = dd.dist.copy()
-    np.fill_diagonal(x, x.sum(axis=1))
+        return dist
+    x = dist.copy()
+    # a writable view of each member's diagonal; fill_diagonal takes one
+    # matrix only
+    np.einsum("...ii->...i", x)[...] = x.sum(axis=-1)
     x.setflags(write=False)
     return x
 

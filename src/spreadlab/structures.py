@@ -1,8 +1,9 @@
 """Substructure enumeration: maximum cliques, diameter paths, cactus cycles.
 
 These are the witness sets indexing the parameterised spread bounds. Only
-diameter paths need distances, which the caller passes in; the bounds sum
-the transmissions over each witness themselves.
+diameter paths need distances, which the caller passes in as the graph's
+all_pairs_distances array; the bounds sum the transmissions over each
+witness themselves.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import AcyclicError, NotCactusError
-from .graph import DistanceData, Graph
+from .graph import Graph
 
 # Most members a clique or diameter-path witness set keeps.
 WITNESS_CAP = 10000
@@ -83,10 +84,10 @@ def maximum_cliques(g: Graph) -> WitnessSet:
 # diameter paths
 
 
-def _geodesics(g: Graph, dd: DistanceData, u: int, v: int) -> Iterator[tuple[int, ...]]:
+def _geodesics(g: Graph, dist: np.ndarray, u: int, v: int) -> Iterator[tuple[int, ...]]:
     """All shortest u-v paths in ascending order, walked forward from u over
     the neighbours one step closer to v, smallest first."""
-    d = dd.dist[v].tolist()
+    d = dist[v].tolist()
     stack = [(u,)]
     while stack:
         path = stack.pop()
@@ -99,17 +100,17 @@ def _geodesics(g: Graph, dd: DistanceData, u: int, v: int) -> Iterator[tuple[int
                 stack.append(path + (y,))
 
 
-def diameter_paths(g: Graph, dd: DistanceData, cap: int = WITNESS_CAP) -> WitnessSet:
+def diameter_paths(g: Graph, dist: np.ndarray, cap: int = WITNESS_CAP) -> WitnessSet:
     """All paths whose length equals the diameter, each reported once with the
-    lexicographically smaller endpoint first; truncated at cap. dd is the
+    lexicographically smaller endpoint first; truncated at cap. dist is the
     graph's all_pairs_distances."""
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    d = dd.diameter
+    d = int(dist.max(initial=0))
     # endpoint pairs u < v at distance d, in row-major order; one path past
     # the cap is built to tell a full family from a truncated one
-    pairs = np.argwhere(np.triu(dd.dist == d, 1)).tolist()
-    members = list(islice(chain.from_iterable(_geodesics(g, dd, u, v) for u, v in pairs), cap + 1))
+    pairs = np.argwhere(np.triu(dist == d, 1)).tolist()
+    members = list(islice(chain.from_iterable(_geodesics(g, dist, u, v) for u, v in pairs), cap + 1))
     return WitnessSet(parameter=d, members=tuple(members[:cap]), truncated=len(members) > cap)
 
 

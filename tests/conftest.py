@@ -144,9 +144,9 @@ def around(inside, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def matrix_rows(g: Graph, kind: str) -> list[list[int]]:
     """Python-int rows of D(G) for kind 'distance' or Q(G) = Tr(G) + D(G) for
     kind 'dsl', with Tr(G) added outside numpy, for the references below."""
-    dd = all_pairs_distances(g)
-    return [[d + (dd.trans[i] if kind == KIND_DSL and i == j else 0) for j, d in enumerate(row)]
-            for i, row in enumerate(dd.dist.tolist())]
+    rows = all_pairs_distances(g).tolist()
+    return [[d + (sum(row) if kind == KIND_DSL and i == j else 0) for j, d in enumerate(row)]
+            for i, row in enumerate(rows)]
 
 
 def reference_quotient(rows, blocks: Sequence[Sequence[int]]) -> QuotientMatrix:

@@ -238,7 +238,7 @@ def test_criterion_10_conjecture_and_monotonicity():
 def test_criterion_11_internal_distance_sums():
     ok = True
     for d in range(1, 13):
-        ok = ok and path_internal_sum(d) == sum(all_pairs_distances(path(d + 1)).trans)
+        ok = ok and path_internal_sum(d) == all_pairs_distances(path(d + 1)).sum()
     for l in range(3, 16):
-        ok = ok and cycle_internal_sum(l) == all_pairs_distances(cycle(l)).trans[0]
+        ok = ok and cycle_internal_sum(l) == all_pairs_distances(cycle(l))[0].sum()
     report("criterion 11: geodesic and cycle internal distance sums vs BFS", ok)

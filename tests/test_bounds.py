@@ -151,13 +151,13 @@ def test_bipartite_witnesses_carry_the_average_distance_degree(rng):
         g = random_connected_bipartite(rng, rng.randint(4, 12))
         if len({g.degree(v) for v in range(g.n)}) == 1 or g.max_degree() == g.n - 1:
             continue
-        dd = all_pairs_distances(g)
+        trans = all_pairs_distances(g).sum(axis=1).tolist()
         for fn in (bound_bipartite_distance, bound_bipartite_dsl):
             r = fn(g)
             assert [w.vertices for w in r.witnesses] == [(v,) for v in range(g.n) if g.degree(v) == r.parameter]
             for w in r.witnesses:
                 v = w.vertices[0]
-                assert w.s_or_t == Fraction(sum(dd.trans[u] for u in g.adjacency[v]), g.degree(v))
+                assert w.s_or_t == Fraction(sum(trans[u] for u in g.adjacency[v]), g.degree(v))
         checked += 1
 
 
@@ -248,6 +248,19 @@ def test_diameter_bound_random_soundness(rng):
 def test_diameter_bound_truncation_flag():
     r = bound_diameter(complete_bipartite(4, 4), cap=2)
     assert r.witnesses_truncated
+
+
+def test_diameter_bound_refuses_a_cap_below_one(monkeypatch):
+    # K_4's d = 1 closed form used to skip the check and C_6 to reach it only
+    # after its distances and eigensolve; both are refused before either
+    def no_analysis(g):
+        raise AssertionError("distances computed before the cap was checked")
+
+    monkeypatch.setattr(spreadlab.bounds, "all_pairs_distances", no_analysis)
+    for g in (complete(4), cycle(6)):
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="cap must be >= 1"):
+                bound_diameter(g, cap=cap)
 
 
 # ---------------------------------------------------------------------------

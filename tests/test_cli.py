@@ -143,6 +143,14 @@ def test_bound_legacy_vertex_out_of_range(capsys):
         assert code == EXIT_DOMAIN and out == "" and "--vertex" in err
 
 
+@pytest.mark.parametrize("method", ["bipartite-distance", "bipartite-dsl", "clique", "diameter", "cactus"])
+def test_bound_vertex_needs_legacy_method(capsys, method):
+    # --vertex picks the legacy formula's vertex; every other method used to
+    # drop it without a word and exit 0
+    code, out, err = run(capsys, "bound", "--builtin", "G1", "--method", method, "--vertex", "3")
+    assert code == EXIT_USAGE and out == "" and "--vertex" in err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -122,4 +122,7 @@ def test_test_only_helpers_not_exported():
             assert not hasattr(module, name), (module.__name__, name)
             assert not hasattr(spreadlab, name), name
     assert not hasattr(spreadlab, "eigenvalues_symmetric")
+    # all_pairs_distances returns the distance array itself
+    assert not hasattr(spreadlab, "DistanceData")
+    assert not hasattr(spreadlab.graph, "DistanceData")
     assert not hasattr(Spectrum, "n")

@@ -33,7 +33,7 @@ def test_quotient_exact_rationals_on_showcase_graph():
     # the 2x2 distance quotient around the closed neighbourhood of v1, from
     # the reference and from the engine (as the legacy refutation's B2)
     g = builtin("G1")
-    q = reference_quotient(all_pairs_distances(g).dist.tolist(), around([0, 1, 2, 3], 7))
+    q = reference_quotient(all_pairs_distances(g).tolist(), around([0, 1, 2, 3], 7))
     assert q.entries == (
         (Fraction(9, 2), Fraction(25, 4)),
         (Fraction(25, 3), Fraction(16, 3)),
@@ -46,7 +46,7 @@ def test_quotient_row_sums_preserved(rng):
     # each quotient row sum equals the average row sum of its block
     for _ in range(10):
         g = random_connected_graph(rng, rng.randint(3, 8))
-        rows = all_pairs_distances(g).dist.tolist()
+        rows = all_pairs_distances(g).tolist()
         k = rng.randint(1, g.n - 1)
         blocks = around(rng.sample(range(g.n), k), g.n)
         q = reference_quotient(rows, blocks)
@@ -58,7 +58,7 @@ def test_quotient_row_sums_preserved(rng):
 def test_quotient_equitable_flag():
     # K_{2,2} with the bipartition blocks is an equitable partition of D
     g = complete_bipartite(2, 2)
-    q = reference_quotient(all_pairs_distances(g).dist.tolist(), ([0, 1], [2, 3]))
+    q = reference_quotient(all_pairs_distances(g).tolist(), ([0, 1], [2, 3]))
     assert q.equitable
     ev = sorted(quotient_eigenvalues(q).values)
     # equitable quotient eigenvalues are a subset of the spectrum {4, 0, -2, -2}

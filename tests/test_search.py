@@ -16,7 +16,7 @@ import spreadlab
 from spreadlab import search
 from spreadlab.cli import main
 from spreadlab.errors import SpreadlabError
-from spreadlab.spectral import KIND_DSL, spread
+from spreadlab.spectral import KIND_DSL, distance_matrix, spread
 
 from .conftest import edges_of, names_balanced_complete_bipartite
 
@@ -360,12 +360,15 @@ def test_conjecture_labels_each_form_and_solves_each_class_once(size, monkeypatc
 
 
 def test_stacked_spreads_equal_spread_bit_for_bit():
-    # every class with n <= 8, solved as one stack per part size, against
-    # spread() on the graph read off its key
+    # every class with n <= 8, its Q(G) built by distance_matrix on one
+    # stack per part size and solved as that stack, as check_conjecture does,
+    # against spread() on the graph read off its key
     for n in range(2, 9):
         for a in range(1, n // 2 + 1):
             keys = search._run_chunk((n, a, 0, search._count_row_tuples(a, n - a)))[3]
-            stacked = search._dsl_spreads(search._key_adjacency(a, n - a, keys)).tolist()
+            dist = search._distances(search._key_adjacency(a, n - a, keys))
+            w = search._eigvalsh(distance_matrix(dist, KIND_DSL))
+            stacked = (w[:, -1] - w[:, 0]).tolist()
             want = [spread(key_graph(a, n - a, key), KIND_DSL).spread for key in keys]
             assert [x.hex() for x in stacked] == [x.hex() for x in want], (n, a)
 

@@ -6,6 +6,7 @@ import pytest
 from spreadlab import (
     KIND_DISTANCE,
     KIND_DSL,
+    SpreadlabError,
     all_pairs_distances,
     bound_bipartite_distance,
     bound_clique,
@@ -24,13 +25,14 @@ from .conftest import matrix_rows, random_connected_graph
 
 def test_matrix_construction():
     g = complete_bipartite(2, 2)
-    dd = all_pairs_distances(g)
+    dist = all_pairs_distances(g)
     for kind in (KIND_DISTANCE, KIND_DSL):
-        x = distance_matrix(dd, kind)
+        x = distance_matrix(dist, kind)
         assert x.dtype == np.int64 and not x.flags.writeable
         assert x.tolist() == matrix_rows(g, kind)
+    assert distance_matrix(dist, KIND_DISTANCE) is dist
     with pytest.raises(ValueError):
-        distance_matrix(dd, "laplacian")
+        distance_matrix(dist, "laplacian")
     with pytest.raises(ValueError):
         spread(g, "laplacian")
 
@@ -39,11 +41,28 @@ def test_trace_identities(rng):
     # sum sigma(D) = 0 and sum sigma(Q) = trace(Q) = twice the Wiener index
     for _ in range(15):
         g = random_connected_graph(rng, rng.randint(2, 8))
-        dd = all_pairs_distances(g)
         sd = spread(g, KIND_DISTANCE).spectrum
         sq = spread(g, KIND_DSL).spectrum
         assert abs(sum(sd.values)) < 1e-8
-        assert abs(sum(sq.values) - 2 * dd.wiener) < 1e-8
+        assert abs(sum(sq.values) - all_pairs_distances(g).sum()) < 1e-8
+
+
+def test_matrix_construction_on_a_stack(rng):
+    # a (k, n, n) stack of distance arrays, as the conjecture search solves,
+    # gives each member's own D(G) and Q(G)
+    for n in (1, 2, 7):
+        graphs = [complete(n), star(n)] + [random_connected_graph(rng, n) for _ in range(4)]
+        stack = np.array([all_pairs_distances(g) for g in graphs])
+        stack.setflags(write=False)
+        for kind in (KIND_DISTANCE, KIND_DSL):
+            x = distance_matrix(stack, kind)
+            assert x.dtype == np.int64 and not x.flags.writeable and x.shape == stack.shape
+            for g, member in zip(graphs, x):
+                assert member.tolist() == matrix_rows(g, kind), (n, kind)
+    # members of the empty graph have neither matrix, as the graph alone
+    for dist in (np.zeros((0, 0), dtype=np.int64), np.zeros((3, 0, 0), dtype=np.int64)):
+        with pytest.raises(SpreadlabError, match="empty graph"):
+            distance_matrix(dist, KIND_DSL)
 
 
 def test_spread_nonnegative_and_zero_only_for_k1(rng):

@@ -54,8 +54,8 @@ def brute_force_max_cliques(g: Graph):
 
 
 def brute_force_diameter_paths(g: Graph):
-    dd = all_pairs_distances(g)
-    d = dd.diameter
+    dist = all_pairs_distances(g)
+    d = int(dist.max())
     found = []
 
     def extend(p):
@@ -63,11 +63,11 @@ def brute_force_diameter_paths(g: Graph):
             found.append(tuple(p))
             return
         for y in sorted(g.adjacency[p[-1]]):
-            if dd.dist[p[0]][y] == len(p):
+            if dist[p[0]][y] == len(p):
                 extend(p + [y])
 
     for u in range(g.n):
-        if any(dv == d for dv in dd.dist[u]):
+        if any(dv == d for dv in dist[u]):
             extend([u])
     return sorted(p for p in found if p[0] < p[-1])
 
@@ -131,13 +131,13 @@ def test_diameter_paths_against_dfs_oracle(rng):
 def test_diameter_paths_are_geodesics(rng):
     for _ in range(10):
         g = random_connected_graph(rng, rng.randint(3, 9))
-        dd = all_pairs_distances(g)
-        ws = diameter_paths(g, dd)
+        dist = all_pairs_distances(g)
+        ws = diameter_paths(g, dist)
         for p in ws.members:
-            assert len(p) == ws.parameter + 1 == dd.diameter + 1
+            assert len(p) == ws.parameter + 1 == dist.max() + 1
             for u, v in zip(p, p[1:]):
                 assert v in g.adjacency[u]
-            assert dd.dist[p[0]][p[-1]] == dd.diameter
+            assert dist[p[0]][p[-1]] == dist.max()
 
 
 def test_diameter_paths_known():
@@ -274,21 +274,19 @@ def test_cactus_errors():
 def test_path_internal_sum_brute_force():
     for d in range(1, 13):
         g = path(d + 1)
-        dd = all_pairs_distances(g)
-        assert path_internal_sum(d) == sum(dd.trans)
+        assert path_internal_sum(d) == all_pairs_distances(g).sum()
     with pytest.raises(ValueError):
         path_internal_sum(0)
 
 
 def test_cycle_internal_sum_bfs():
     for l in range(3, 16):
-        dd = all_pairs_distances(cycle(l))
-        assert cycle_internal_sum(l) == dd.trans[0]
+        assert cycle_internal_sum(l) == all_pairs_distances(cycle(l))[0].sum()
     with pytest.raises(ValueError):
         cycle_internal_sum(2)
 
 
-def all_geodesics(g: Graph, dd, u: int, v: int):
+def all_geodesics(g: Graph, dist, u: int, v: int):
     """Every shortest u-v path, in no particular order."""
     found = []
 
@@ -297,7 +295,7 @@ def all_geodesics(g: Graph, dd, u: int, v: int):
             found.append(tuple(p))
             return
         for y in g.adjacency[p[-1]]:
-            if dd.dist[u][y] == len(p) and dd.dist[y][v] == dd.dist[u][v] - len(p):
+            if dist[u][y] == len(p) and dist[y][v] == dist[u][v] - len(p):
                 extend(p + [y])
 
     extend([u])
@@ -307,10 +305,10 @@ def all_geodesics(g: Graph, dd, u: int, v: int):
 def test_geodesics_stream_in_sorted_order(rng):
     for _ in range(20):
         g = random_connected_graph(rng, rng.randint(2, 10), extra_edge_prob=rng.choice([0.1, 0.3]))
-        dd = all_pairs_distances(g)
+        dist = all_pairs_distances(g)
         for u in range(g.n):
             for v in range(g.n):
-                assert list(_geodesics(g, dd, u, v)) == sorted(all_geodesics(g, dd, u, v))
+                assert list(_geodesics(g, dist, u, v)) == sorted(all_geodesics(g, dist, u, v))
 
 
 def test_diameter_paths_cap_stops_early_on_grid():
@@ -320,8 +318,7 @@ def test_diameter_paths_cap_stops_early_on_grid():
     edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
     edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
     g = Graph(side * side, edges)
-    dd = all_pairs_distances(g)
-    ws = diameter_paths(g, dd, cap=10)
+    ws = diameter_paths(g, all_pairs_distances(g), cap=10)
     assert ws.truncated and len(ws.members) == 10
     assert list(ws.members) == sorted(ws.members) and len(set(ws.members)) == 10
     assert ws.members[0] == tuple(range(side)) + tuple(side - 1 + side * r for r in range(1, side))
